@@ -17,7 +17,6 @@ from .errors import (
     MalformedRow,
     MissingColumn,
     MrHeteroError,
-    NonConvergence,
     TooManyFailures,
     VanishingDenominator,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "MissingColumn",
     "MrEstimate",
     "MrHeteroError",
-    "NonConvergence",
     "Pleiotropy",
     "ReplicateTruth",
     "ScenarioConfig",

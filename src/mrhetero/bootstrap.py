@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DegenerateDesign, DegenerateInput, TooManyFailures, VanishingDenominator
 from .summary_data import as_triple_arrays
@@ -131,7 +131,7 @@ def z_quantile(level: float) -> float:
     """Two-sided standard-normal critical value for the given level."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must be strictly between 0 and 1")
-    return float(norm.ppf(0.5 * (1.0 + level)))
+    return float(ndtri(0.5 * (1.0 + level)))
 
 
 def normal_ci(point: float, se: float, level: float) -> tuple[float, float]:

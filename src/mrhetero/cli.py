@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .bootstrap import BootstrapConfig, CiKind
@@ -24,19 +25,11 @@ from .summary_data import harmonize, parse_summary_file
 SIG_FIGURES = 6
 
 _METHOD_ALIASES = {
-    "mrwald": Method.MR_WALD,
-    "mr-wald": Method.MR_WALD,
-    "mrwaldr": Method.MR_WALD_R,
-    "mr-wald-r": Method.MR_WALD_R,
-    "mrwaldd": Method.MR_WALD_D,
-    "mr-wald-d": Method.MR_WALD_D,
-    "ivw": Method.IVW,
-    "divw": Method.DIVW,
-    "egger": Method.EGGER,
-    "weightedmedian": Method.WEIGHTED_MEDIAN,
-    "weighted-median": Method.WEIGHTED_MEDIAN,
+    **{m.value.lower(): m for m in Method},
+    **{re.sub(r"(?<!^)(?=[A-Z])", "-", m.value).lower(): m for m in Method},
     "wmedian": Method.WEIGHTED_MEDIAN,
 }
+_METHODS_HELP = f"comma-separated estimators ({', '.join(m.value for m in Method)})"
 
 _SCENARIOS = {
     "i": Pleiotropy.none(),
@@ -160,15 +153,18 @@ def _load_inputs(args):
     return harmonize(treatment, ou_exposure, ou_outcome, policy=args.palindromic)
 
 
+def _bootstrap_config(args, seed: int, ci_kind: CiKind) -> BootstrapConfig:
+    try:
+        return BootstrapConfig(n_boot=args.boot, seed=seed, ci_kind=ci_kind, level=args.level)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+
+
 def cmd_analyze(args) -> int:
     methods = _parse_methods(args.methods)
     triples, report = _load_inputs(args)
-    boot = BootstrapConfig(
-        n_boot=args.boot,
-        seed=args.seed,
-        ci_kind=CiKind.PERCENTILE if args.ci_kind == "percentile" else CiKind.NORMAL_APPROX,
-        level=args.level,
-    )
+    ci_kind = CiKind.PERCENTILE if args.ci_kind == "percentile" else CiKind.NORMAL_APPROX
+    boot = _bootstrap_config(args, args.seed, ci_kind)
     het = het_test(triples)
     estimates = [estimate(m, triples, boot) for m in methods]
     doc = _round_doc(
@@ -265,12 +261,8 @@ def _scenario_config(args) -> ScenarioConfig:
 def cmd_simulate(args) -> int:
     cfg = _scenario_config(args)
     methods = _parse_methods(args.methods)
-    boot = BootstrapConfig(
-        n_boot=args.boot,
-        seed=cfg.seed if args.boot_seed is None else args.boot_seed,
-        ci_kind=CiKind.NORMAL_APPROX,
-        level=args.level,
-    )
+    seed = cfg.seed if args.boot_seed is None else args.boot_seed
+    boot = _bootstrap_config(args, seed, CiKind.NORMAL_APPROX)
     summary = run_scenario(cfg, methods, boot)
     doc = _round_doc({"config": cfg.to_json_dict(), "summary": summary.to_json_dict()})
     _emit(doc, _summary_tsv(doc["summary"]), args)
@@ -315,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = subs.add_parser("analyze", help="harmonize three summary files and estimate the causal effect")
     _add_io_flags(a, with_outcome=True)
-    a.add_argument("--methods", default="MrWald,MrWaldR",
-                   help="comma-separated estimators (MrWald, MrWaldR, MrWaldD, Ivw, Divw, Egger, WeightedMedian)")
+    a.add_argument("--methods", default="MrWald,MrWaldR", help=_METHODS_HELP)
     a.add_argument("--boot", type=int, default=1000, help="bootstrap replicate count")
     a.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     a.add_argument("--level", type=float, default=0.95, help="confidence level")
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, help="cohort sample size")
     s.add_argument("--beta0", type=float, help="true causal effect")
     s.add_argument("--maf", type=float, help="minor allele frequency")
-    s.add_argument("--methods", default="MrWald", help="comma-separated estimators")
+    s.add_argument("--methods", default="MrWald", help=_METHODS_HELP)
     s.add_argument("--boot", type=int, default=500, help="bootstrap replicate count")
     s.add_argument("--boot-seed", type=int, help="bootstrap seed (defaults to the scenario seed)")
     s.add_argument("--level", type=float, default=0.95, help="confidence level")
@@ -368,7 +359,7 @@ def main(argv=None) -> int:
 
 
 def _error_record(exc: MrHeteroError) -> None:
-    record = {"error": type(exc).__name__, **exc.details}
+    record = {"error": type(exc).__name__, "message": str(exc), **exc.details}
     print(json.dumps(record), file=sys.stderr)
 
 

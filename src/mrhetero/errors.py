@@ -76,14 +76,3 @@ class TooManyFailures(DataError):
             n_failed=n_failed,
             n_boot=n_boot,
         )
-
-
-class NonConvergence(MrHeteroError):
-    """An iterative numerical routine hit its iteration cap.
-
-    Signals an implementation or calling-regime defect rather than a data
-    problem, hence not a :class:`DataError`.
-    """
-
-    def __init__(self, what: str):
-        super().__init__(f"{what} did not converge within the iteration cap", what=what)

@@ -71,7 +71,7 @@ def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: st
     # slope of gamma_ou on gamma_tr, so rescaling either axis cannot change
     # the outcome of the guard.
     scale = float(np.max(np.abs(a.gamma_ou))) / float(np.max(np.abs(a.gamma_tr)))
-    if abs(denominator) <= 1e-12 * scale:
+    if abs(denominator) <= kernels.REL_DENOM_TOL * scale:
         raise VanishingDenominator(
             f"{what}: exposure-on-exposure slope is indistinguishable from zero",
             value=denominator,

@@ -27,6 +27,7 @@ from .errors import (
     VanishingDenominator,
 )
 from .estimators import Method, estimate
+from .kernels import REL_DENOM_TOL
 from .summary_data import HarmonizedTriple, as_triple_arrays, marginal_regressions
 
 THREADS_ENV_VAR = "MR_HETERO_THREADS"
@@ -348,7 +349,7 @@ def oracle_mr_wald_variance(gamma_tr, gamma_ou, se_gamma_tr, se_gamma_ou, sigma_
     num = float(np.sum((gamma_tr**2 + se_gamma_tr**2) * sigma_u**2 / se_gamma_ou**4))
     den = float(np.sum(gamma_tr * gamma_ou / se_gamma_ou**2))
     den_scale = float(np.sum(np.abs(gamma_tr * gamma_ou) / se_gamma_ou**2))
-    if den == 0.0 or abs(den) < 1e-12 * den_scale:
+    if den == 0.0 or abs(den) < REL_DENOM_TOL * den_scale:
         raise VanishingDenominator("oracle variance denominator is zero", value=den)
     return num / den**2
 

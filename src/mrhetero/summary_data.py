@@ -228,7 +228,7 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
                 continue
             try:
                 record = _row_to_record(row, positions, n_pos)
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 if lenient:
                     n_dropped += 1
                     continue
@@ -354,18 +354,8 @@ def marginal_regression(z, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if z.ndim != 1 or z.shape != y.shape:
         raise ValueError("z and y must be 1-D vectors of equal length")
-    n = z.shape[0]
-    if n < 3:
-        raise ValueError("at least 3 observations required")
-    zc = z - z.mean()
-    ss = float(zc @ zc)
-    if ss <= 0.0:
-        raise DegenerateGenotype()
-    yc = y - y.mean()
-    beta = float(zc @ yc) / ss
-    rss = max(float(yc @ yc) - beta * float(zc @ yc), 0.0)
-    se = math.sqrt(rss / (n - 2) / ss)
-    return beta, se
+    beta, se = marginal_regressions(z[:, None], y)
+    return float(beta[0]), float(se[0])
 
 
 def marginal_regressions(Z, y) -> tuple[np.ndarray, np.ndarray]:
@@ -375,9 +365,12 @@ def marginal_regressions(Z, y) -> tuple[np.ndarray, np.ndarray]:
     n = Z.shape[0]
     if n < 3:
         raise ValueError("at least 3 observations required")
-    col_mean = Z.mean(axis=0)
-    ss = np.einsum("ij,ij->j", Z, Z) - n * col_mean**2
-    if np.any(ss <= 0.0):
+    sumsq = np.einsum("ij,ij->j", Z, Z)
+    ss = sumsq - n * Z.mean(axis=0) ** 2
+    # A constant column leaves a rounding residue in ``ss`` that grows like
+    # n * eps of its sum of squares (up to 0.9 n eps measured); a single
+    # differing genotype among n keeps the ratio near 1/n.
+    if np.any(ss <= 4.0 * n * np.finfo(float).eps * sumsq):
         raise DegenerateGenotype("one or more genotype columns are constant")
     yc = y - y.mean()
     szy = Z.T @ yc

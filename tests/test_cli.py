@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mrhetero.cli import main
+from mrhetero import Method
+from mrhetero.cli import _parse_methods, main
 
 BETA0 = -0.3
 B_HET = 1.4
@@ -77,7 +80,9 @@ class TestAnalyze:
             "--outcome", ouy)
         assert code == 2
         record = json.loads(err.strip().splitlines()[-1])
-        assert record == {"error": "MissingColumn", "column": "se"}
+        assert record == {"error": "MissingColumn",
+                          "message": "required column 'se' not found in header",
+                          "column": "se"}
         assert out == ""
 
     def test_unknown_method_maps_to_exit_2(self, tmp_path, capsys):
@@ -87,6 +92,30 @@ class TestAnalyze:
             "--outcome", ouy, "--methods", "Wizardry")
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--boot", "1", "n_boot must be at least 2"),
+        ("--level", "1.5", "level must be strictly between 0 and 1"),
+    ])
+    def test_bad_bootstrap_setting_maps_to_exit_2(self, tmp_path, capsys, flag, value, message):
+        tr, oug, ouy = write_inputs(tmp_path)
+        code, out, err = run_cli(
+            capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+            "--outcome", ouy, flag, value)
+        assert code == 2
+        assert json.loads(err) == {"error": "DataError", "message": message}
+        assert out == ""
+
+    def test_infinite_sample_size_maps_to_exit_2(self, tmp_path, capsys):
+        tr, oug, ouy = write_inputs(tmp_path)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("snp\teffect_allele\tother_allele\tbeta\tse\tn\n"
+                       "rs1\tA\tG\t0.1\t0.01\tinf\n")
+        code, _, err = run_cli(
+            capsys, "analyze", "--treatment", str(bad), "--outcome-exposure", oug,
+            "--outcome", ouy)
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedRow"
 
     def test_missing_file_maps_to_exit_2(self, tmp_path, capsys):
         tr, oug, ouy = write_inputs(tmp_path)
@@ -165,6 +194,27 @@ class TestHetTest:
         assert code == 0
         assert json.loads(out)["het_test"]["p_value"] < 1e-6
 
+    def test_large_panel_just_below_the_mean(self, tmp_path, capsys):
+        # 10,000 SNPs each contributing 0.995: the statistic is 9,950 at df
+        # 10,000, inside the range a 10k-SNP null panel usually reaches
+        p, se = 10_000, 0.02
+        gamma = np.random.default_rng(3).uniform(0.05, 0.12, p)
+        shifted = gamma + math.sqrt(0.995 * 2 * se**2)
+        header = "snp\teffect_allele\tother_allele\tbeta\tse"
+        base = tmp_path / "base.tsv"
+        other = tmp_path / "other.tsv"
+        base.write_text(header + "\n" + "".join(
+            f"rs{j}\tA\tG\t{gamma[j]:.17g}\t{se}\n" for j in range(p)))
+        other.write_text(header + "\n" + "".join(
+            f"rs{j}\tA\tG\t{shifted[j]:.17g}\t{se}\n" for j in range(p)))
+        code, out, err = run_cli(capsys, "het-test", "--treatment", str(base),
+                                 "--outcome-exposure", str(other))
+        assert code == 0, err
+        het = json.loads(out)["het_test"]
+        assert het["df"] == p
+        assert het["statistic"] == 9950.0
+        assert het["p_value"] == 0.636616
+
     def test_tsv_form(self, tmp_path, capsys):
         tr, _, _ = write_inputs(tmp_path)
         code, out, _ = run_cli(capsys, "het-test", "--treatment", tr,
@@ -236,6 +286,22 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
 
+    def test_bad_config_value_reports_its_reason(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p", "0")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert "p must be positive" in record["message"]
+        assert out == ""
+
+    @pytest.mark.parametrize("flag,value", [("--boot", "1"), ("--level", "1.5")])
+    def test_bad_bootstrap_setting_exit_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "1",
+                                 "--p", "5", "--n", "300", flag, value)
+        assert code == 2
+        assert json.loads(err)["error"] == "DataError"
+        assert out == ""
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scn.json"
         cfg_path.write_text(json.dumps({"pp": 3}))
@@ -256,3 +322,31 @@ class TestSimulate:
         for metric in ("bias_pct", "rmse_pct", "ci_length_pct", "coverage_pct"):
             for name, cell in zip(header[1:], table[metric]):
                 assert float(cell) == summary[name][metric]
+
+
+@pytest.mark.parametrize("spelling,method", [
+    ("mrwald", Method.MR_WALD),
+    ("mr-wald", Method.MR_WALD),
+    ("mrwaldr", Method.MR_WALD_R),
+    ("mr-wald-r", Method.MR_WALD_R),
+    ("mrwaldd", Method.MR_WALD_D),
+    ("mr-wald-d", Method.MR_WALD_D),
+    ("ivw", Method.IVW),
+    ("divw", Method.DIVW),
+    ("egger", Method.EGGER),
+    ("weightedmedian", Method.WEIGHTED_MEDIAN),
+    ("weighted-median", Method.WEIGHTED_MEDIAN),
+    ("wmedian", Method.WEIGHTED_MEDIAN),
+])
+def test_method_spellings(spelling, method):
+    assert _parse_methods(spelling) == [method]
+    assert _parse_methods(spelling.upper()) == [method]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes most of a second to import
+    code = "import sys, mrhetero.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mrhetero import NonConvergence, chisq_sf, het_test
+from mrhetero import chisq_sf, het_test
 
 from conftest import chisq_sf_by_quadrature, make_triples
 
@@ -96,11 +96,10 @@ class TestChisqSf:
         with pytest.raises(ValueError):
             chisq_sf(float("nan"), 3)
 
-    def test_iteration_cap_signals_defect(self):
-        # the series regime needs ~sqrt(df) iterations; a huge df just under
-        # the regime boundary exhausts the cap
-        with pytest.raises(NonConvergence):
-            chisq_sf(1e6 - 1.0, 10**6)
+    @pytest.mark.parametrize("x,df", [(9950.0, 10_000), (9999.0, 10_000), (19_500.0, 20_000)])
+    def test_large_df_just_below_the_mean(self, x, df):
+        # where the null statistic of a 10k-20k SNP panel usually lands
+        assert chisq_sf(x, df) == pytest.approx(chisq_sf_by_quadrature(x, df), abs=1e-10)
 
     def test_small_sample_calibration(self):
         # mini null calibration; the acceptance suite runs the full-size one

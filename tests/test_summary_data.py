@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,17 @@ class TestParse:
         f = write_tsv(tmp_path / "a.tsv", ["rs1\tA\tG\tx\t0.01\t1000"])
         with pytest.raises(MalformedRow):
             parse_summary_file(f)
+
+    @pytest.mark.parametrize("n", ["inf", "-inf", "1e400"])
+    def test_unrepresentable_sample_size(self, tmp_path, n):
+        rows = [f"rs1\tA\tG\t0.05\t0.01\t{n}", "rs2\tA\tG\t0.05\t0.01\t1000"]
+        f = write_tsv(tmp_path / "a.tsv", rows)
+        with pytest.raises(MalformedRow) as exc:
+            parse_summary_file(f)
+        assert exc.value.details["line"] == 2
+        with pytest.warns(UserWarning, match="dropped 1 malformed"):
+            records = parse_summary_file(f, lenient=True)
+        assert [r.snp_id for r in records] == ["rs2"]
 
     def test_column_remap_and_optional_n(self, tmp_path):
         f = write_tsv(tmp_path / "a.tsv", ["rs9\tt\tc\t-0.2\t0.05"],
@@ -182,6 +195,33 @@ class TestMarginalRegression:
     def test_constant_genotype(self):
         with pytest.raises(DegenerateGenotype):
             marginal_regression([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [7, 100_000])
+    def test_constant_column_with_rounding_residue(self, n):
+        # 0.1 is inexact, so the centred sum of squares is rounding noise
+        # that grows with n rather than an exact zero
+        y = np.arange(n, dtype=float)
+        with pytest.raises(DegenerateGenotype):
+            marginal_regression(np.full(n, 0.1), y)
+        with pytest.raises(DegenerateGenotype):
+            marginal_regressions(np.full((n, 1), 0.1), y)
+        Z = np.ones((n, 3))
+        Z[:, 1] = 0.1
+        Z[0, 0] = Z[1, 2] = 2.0
+        with pytest.raises(DegenerateGenotype):
+            marginal_regressions(Z, y)
+
+    def test_single_differing_genotype_is_not_constant(self):
+        # centred sum of squares over column sum of squares is 1e-5 here
+        n = 100_000
+        z = np.ones(n)
+        z[0] = 0.0
+        y = np.random.default_rng(1).standard_normal(n)
+        y[0] += 5.0
+        beta, se = marginal_regression(z, y)
+        assert math.isfinite(beta) and 0.0 < se < math.inf
+        betas, _ = marginal_regressions(np.column_stack([z, z[::-1]]), y)
+        assert np.isfinite(betas).all()
 
     @settings(max_examples=50, deadline=None)
     @given(
