@@ -20,7 +20,7 @@ from .errors import DataError, MrHeteroError
 from .estimators import Method, estimate
 from .heterogeneity import het_test
 from .simulation import GFunction, Pleiotropy, ScenarioConfig, run_scenario
-from .summary_data import harmonize, parse_summary_file
+from .summary_data import DEFAULT_COLUMNS, harmonize, parse_summary_file
 
 SIG_FIGURES = 6
 
@@ -68,8 +68,13 @@ def _parse_columns(raw: str | None) -> dict | None:
             continue
         if "=" not in part:
             raise DataError(f"column override {part!r} is not of the form field=header")
-        field, header = part.split("=", 1)
-        out[field.strip()] = header.strip()
+        field, header = (token.strip() for token in part.split("=", 1))
+        if field not in DEFAULT_COLUMNS:
+            raise DataError(
+                f"unknown column field {field!r}; expected one of {', '.join(DEFAULT_COLUMNS)}",
+                field=field,
+            )
+        out[field] = header
     return out
 
 
@@ -126,9 +131,13 @@ def _emit(doc_json: dict, tsv_text: str | None, args) -> None:
         text = tsv_text
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write output {args.output}: {exc.strerror}", path=args.output) from None
+    with fh:
+        fh.write(text)
 
 
 def _fmt_cell(v) -> str:
@@ -348,7 +357,8 @@ def main(argv=None) -> int:
         _error_record(exc)
         return 2
     except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "path": str(exc.filename)}), file=sys.stderr)
+        record = {"error": "FileNotFound", "message": str(exc), "path": str(exc.filename)}
+        print(json.dumps(record), file=sys.stderr)
         return 2
     except MrHeteroError as exc:
         _error_record(exc)

@@ -2,8 +2,9 @@
 
 Generates two independent individual-level cohorts per replicate (one for
 the treatment GWAS, one for the outcome GWAS), reduces each to marginal
-summary statistics, and aggregates estimator performance over replicates
-into relative bias / RMSE / CI-length / coverage tables.
+summary statistics block by block, so no cohort's genotype matrix is ever
+held whole, and aggregates estimator performance over replicates into
+relative bias / RMSE / CI-length / coverage tables.
 
 Replicate ``r`` of a scenario depends only on ``(config.seed, r)``;
 replicates may run on any number of threads without changing a single bit
@@ -12,6 +13,7 @@ of the output.
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -28,9 +30,18 @@ from .errors import (
 )
 from .estimators import Method, estimate
 from .kernels import REL_DENOM_TOL
-from .summary_data import HarmonizedTriple, as_triple_arrays, marginal_regressions
+from .summary_data import TripleArrays, blocked_regressions
+
+# Not called here: the benchmark's traced run (bench/spans.py) wraps these
+# names on this module by attribute.
+from .summary_data import as_triple_arrays, marginal_regressions  # noqa: F401
 
 THREADS_ENV_VAR = "MR_HETERO_THREADS"
+
+#: Genotype cells drawn and reduced per row block: 2 MiB of float64, so a
+#: replicate's memory is set by the block rather than by n. The drawn values
+#: do not depend on it; only the order of summation does.
+_BLOCK_CELLS = 2**18
 
 _METHOD_FAILURES = (VanishingDenominator, DegenerateDesign, DegenerateInput, TooManyFailures)
 
@@ -257,12 +268,53 @@ class ReplicateTruth(NamedTuple):
     alpha: np.ndarray
 
 
-def _genotypes(rng: np.random.Generator, n: int, p: int, maf: float) -> np.ndarray:
-    # Additive coding 0/1/2: two allele indicators drawn by inverse CDF and
-    # summed, which is the exact binomial(2, maf) distribution.
-    z = (rng.random((n, p)) < maf).astype(np.float64)
-    z += rng.random((n, p)) < maf
-    return z
+def _allele_streams(rng: np.random.Generator, cells: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Generators for a cohort's two allele draws of ``cells`` uniforms each.
+
+    They start where ``rng`` would draw the first and the second full
+    ``n x p`` array, and ``rng`` moves past both, so blocks drawn from them
+    are the uniforms that whole-matrix draws would give. This holds because
+    ``Generator.random`` takes one 64-bit output of the bit generator per
+    float64.
+    """
+    first, second = copy.deepcopy(rng), copy.deepcopy(rng)
+    second.bit_generator.advance(cells)
+    rng.bit_generator.advance(2 * cells)
+    return first, second
+
+
+def _draw_genotypes(alleles, maf: float, out: np.ndarray, spare: np.ndarray) -> None:
+    """Fill ``out`` with binomial(2, maf) genotypes minus their mean ``2 maf``.
+
+    Additive coding 0/1/2: one allele indicator drawn by inverse CDF from
+    each generator of ``alleles`` and summed. The shift keeps the block
+    sums nearly centred.
+    """
+    first, second = alleles
+    first.random(out=out)
+    second.random(out=spare)
+    np.less(out, maf, out=out)
+    out += spare < maf
+    out -= 2.0 * maf
+
+
+def _cohort(alleles, maf: float, coef: np.ndarray, noise: np.ndarray):
+    """Marginal regressions of the responses ``Z @ coef + noise`` on each SNP.
+
+    Genotypes ``Z`` are drawn row by row into one reused block, and each
+    block's responses and sums are formed before the next is drawn.
+    """
+    n, p = noise.shape[0], coef.shape[0]
+    rows = max(1, _BLOCK_CELLS // p)
+    block, spare = np.empty((2, min(rows, n), p))
+
+    def blocks():
+        for start in range(0, n, rows):
+            z = block[: min(rows, n - start)]
+            _draw_genotypes(alleles, maf, z, spare[: z.shape[0]])
+            yield z, z @ coef + noise[start:start + z.shape[0]]
+
+    return blocked_regressions(blocks())
 
 
 def _draw_alpha(rng: np.random.Generator, model: Pleiotropy, gamma_tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,14 +334,16 @@ def _draw_alpha(rng: np.random.Generator, model: Pleiotropy, gamma_tr: np.ndarra
 
 def simulate_replicate(
     cfg: ScenarioConfig, r: int, return_truth: bool = False
-) -> list[HarmonizedTriple] | tuple[list[HarmonizedTriple], ReplicateTruth]:
+) -> TripleArrays | tuple[TripleArrays, ReplicateTruth]:
     """Generate replicate ``r`` of a scenario as harmonized summary triples.
 
     Draw order within the replicate stream is fixed: per-SNP effects, then
-    pleiotropic effects, then the treatment cohort, then the outcome cohort.
-    The same confounder enters both the exposure and the outcome of the
-    outcome cohort, and both of that cohort's summary vectors come from the
-    same sample, reproducing the dependence the estimators must tolerate.
+    pleiotropic effects, then the treatment cohort, then the outcome cohort;
+    within each cohort, two ``n x p`` arrays of allele uniforms, then its
+    noise vectors. The same confounder enters both the exposure and the
+    outcome of the outcome cohort, and both of that cohort's summary vectors
+    come from the same sample, reproducing the dependence the estimators
+    must tolerate.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
     gamma_tr = rng.uniform(cfg.gamma_tr_low, cfg.gamma_tr_high, cfg.p)
@@ -297,35 +351,25 @@ def simulate_replicate(
     alpha_star, alpha = _draw_alpha(rng, cfg.pleiotropy, gamma_tr)
 
     # Treatment cohort: exposure only.
-    Z = _genotypes(rng, cfg.n, cfg.p, cfg.maf)
-    d = Z @ gamma_tr + rng.standard_normal(cfg.n) + rng.standard_normal(cfg.n)
-    g_tr_hat, se_tr = marginal_regressions(Z, d)
-    del Z, d
+    alleles = _allele_streams(rng, cfg.n * cfg.p)
+    noise = rng.standard_normal(cfg.n) + rng.standard_normal(cfg.n)
+    beta_tr, se_tr = _cohort(alleles, cfg.maf, gamma_tr[:, None], noise[:, None])
 
-    # Outcome cohort: exposure and outcome from the same sample.
-    Z = _genotypes(rng, cfg.n, cfg.p, cfg.maf)
+    # Outcome cohort: exposure d1 = Z gamma_ou + u + e_d and outcome
+    # y1 = beta0 d1 + Z alpha + u + e_y from the same sample, with
+    # confounder u.
+    alleles = _allele_streams(rng, cfg.n * cfg.p)
     confounder = rng.standard_normal(cfg.n)
-    d1 = Z @ gamma_ou + confounder + rng.standard_normal(cfg.n)
-    y1 = cfg.beta0 * d1 + confounder + rng.standard_normal(cfg.n)
-    if np.any(alpha):
-        y1 += Z @ alpha
-    g_ou_hat, se_ou = marginal_regressions(Z, d1)
-    cap_hat, se_cap = marginal_regressions(Z, y1)
-    del Z
+    d_noise = confounder + rng.standard_normal(cfg.n)
+    y_noise = cfg.beta0 * d_noise + confounder + rng.standard_normal(cfg.n)
+    coef = np.column_stack([gamma_ou, cfg.beta0 * gamma_ou + alpha])
+    beta_ou, se_ou = _cohort(alleles, cfg.maf, coef, np.column_stack([d_noise, y_noise]))
 
     width = len(str(cfg.p))
-    triples = [
-        HarmonizedTriple(
-            snp_id=f"snp{j + 1:0{width}d}",
-            gamma_tr=float(g_tr_hat[j]),
-            se_gamma_tr=float(se_tr[j]),
-            gamma_ou=float(g_ou_hat[j]),
-            se_gamma_ou=float(se_ou[j]),
-            capgamma_ou=float(cap_hat[j]),
-            se_capgamma_ou=float(se_cap[j]),
-        )
-        for j in range(cfg.p)
-    ]
+    triples = TripleArrays.checked(
+        [f"snp{j + 1:0{width}d}" for j in range(cfg.p)],
+        beta_tr[:, 0], se_tr[:, 0], beta_ou[:, 0], se_ou[:, 0], beta_ou[:, 1], se_ou[:, 1],
+    )
     if return_truth:
         return triples, ReplicateTruth(gamma_tr, gamma_ou, alpha_star, alpha)
     return triples
@@ -400,8 +444,7 @@ def thread_count() -> int:
 
 
 def _replicate_results(cfg: ScenarioConfig, methods, boot: BootstrapConfig, r: int) -> dict:
-    triples = simulate_replicate(cfg, r)
-    arrays = as_triple_arrays(triples)
+    arrays = simulate_replicate(cfg, r)
     # Per-replicate bootstrap stream, derived on a branch of the bootstrap
     # seed disjoint from the data streams.
     boot_r = replace(boot, seed=stream_seed(boot.seed, r, domain=1))

@@ -123,7 +123,9 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", str(tmp_path / "nope.tsv"),
             "--outcome-exposure", oug, "--outcome", ouy)
         assert code == 2
-        assert json.loads(err)["error"] == "FileNotFound"
+        record = json.loads(err)
+        assert record["error"] == "FileNotFound"
+        assert "nope.tsv" in record["message"]
 
     def test_tsv_round_trips_json_digits(self, tmp_path, capsys):
         tr, oug, ouy = write_inputs(tmp_path)
@@ -222,6 +224,29 @@ class TestHetTest:
         assert code == 0
         lines = dict(line.split("\t", 1) for line in out.strip().splitlines())
         assert set(lines) == {"statistic", "df", "p_value", "per_snp"}
+
+    def test_unknown_column_field_is_usage_error(self, tmp_path, capsys):
+        # a misspelt field used to be dropped and the default column read
+        tr, oug, _ = write_inputs(tmp_path)
+        code, out, err = run_cli(capsys, "het-test", "--treatment", tr,
+                                 "--outcome-exposure", oug, "--columns", "bta=beta,snp=snp")
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert "'bta'" in record["message"]
+        for field in ("snp", "effect_allele", "other_allele", "beta", "se", "n"):
+            assert field in record["message"]
+
+    @pytest.mark.parametrize("target", ["dir", "missing_parent"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, target):
+        tr, oug, _ = write_inputs(tmp_path)
+        path = tmp_path if target == "dir" else tmp_path / "no" / "such" / "out.json"
+        code, out, err = run_cli(capsys, "het-test", "--treatment", tr,
+                                 "--outcome-exposure", oug, "--output", str(path))
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert record["path"] == str(path) and str(path) in record["message"]
 
 
 class TestSimulate:

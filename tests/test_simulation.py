@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,19 @@ from numpy.testing import assert_allclose
 
 from mrhetero import (
     BootstrapConfig,
+    DegenerateGenotype,
     GFunction,
     Method,
     Pleiotropy,
     ScenarioConfig,
+    TripleArrays,
     run_scenario,
     simulate_replicate,
+    simulation,
 )
 from mrhetero.estimators import point_estimate
-from mrhetero.simulation import _genotypes, thread_count
+from mrhetero.simulation import _draw_alpha, _draw_genotypes, thread_count
+from mrhetero.summary_data import marginal_regressions
 
 
 def small_cfg(**kw):
@@ -73,12 +78,45 @@ class TestConfig:
 
 class TestGenotypes:
     def test_moments_match_binomial(self):
+        # the draw is shifted by its mean 2 maf; each genotype frequency
+        # must sit within 4 binomial standard errors over 10^6 cells
         rng = np.random.default_rng(4)
-        z = _genotypes(rng, 10_000, 5, 0.3)
-        assert set(np.unique(z)) <= {0.0, 1.0, 2.0}
-        assert abs(z.mean() - 0.6) < 0.01
-        # binomial(2, 0.3) variance is 0.42
-        assert abs(z.var() - 0.42) < 0.02 * 0.42
+        z, spare = np.empty((2, 1000, 1000))
+        for maf in (0.05, 0.3, 0.5):
+            _draw_genotypes((rng, rng), maf, z, spare)
+            levels = np.unique(z) + 2 * maf
+            counts = np.rint(levels)
+            assert levels.size <= 3 and set(counts) <= {0.0, 1.0, 2.0}
+            assert_allclose(levels, counts, rtol=0, atol=1e-15)
+            genotypes = np.rint(z + 2 * maf)
+            for k, prob in enumerate(((1 - maf) ** 2, 2 * maf * (1 - maf), maf**2)):
+                freq = np.count_nonzero(genotypes == k) / z.size
+                assert abs(freq - prob) <= 4 * math.sqrt(prob * (1 - prob) / z.size)
+
+
+def whole_matrix_replicate(cfg, r):
+    """Reference generator: each cohort's genotypes drawn as two whole
+    n x p uniform arrays and reduced by ``marginal_regressions``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
+    gamma_tr = rng.uniform(cfg.gamma_tr_low, cfg.gamma_tr_high, cfg.p)
+    gamma_ou = cfg.g(gamma_tr)
+    _, alpha = _draw_alpha(rng, cfg.pleiotropy, gamma_tr)
+
+    def genotypes():
+        z = (rng.random((cfg.n, cfg.p)) < cfg.maf).astype(float)
+        return z + (rng.random((cfg.n, cfg.p)) < cfg.maf)
+
+    Z = genotypes()
+    d = Z @ gamma_tr + rng.standard_normal(cfg.n) + rng.standard_normal(cfg.n)
+    columns = [*marginal_regressions(Z, d)]
+    Z = genotypes()
+    u = rng.standard_normal(cfg.n)
+    d1 = Z @ gamma_ou + u + rng.standard_normal(cfg.n)
+    y1 = cfg.beta0 * d1 + u + rng.standard_normal(cfg.n) + Z @ alpha
+    return columns + [*marginal_regressions(Z, d1), *marginal_regressions(Z, y1)]
+
+
+COLUMNS = ("gamma_tr", "se_gamma_tr", "gamma_ou", "se_gamma_ou", "capgamma_ou", "se_capgamma_ou")
 
 
 class TestSimulateReplicate:
@@ -86,9 +124,46 @@ class TestSimulateReplicate:
         cfg = small_cfg()
         a = simulate_replicate(cfg, 2)
         b = simulate_replicate(cfg, 2)
-        assert a == b
+        assert list(a) == list(b)
         c = simulate_replicate(cfg, 3)
-        assert c != a
+        assert list(c) != list(a)
+
+    def test_block_size_changes_no_output(self, monkeypatch):
+        cfg = small_cfg(pleiotropy=Pleiotropy.directional(0.05, 0.02))
+        whole = simulate_replicate(cfg, 1)
+        assert isinstance(whole, TripleArrays)
+        assert list(whole.snp_ids) == [f"snp{j:02d}" for j in range(1, cfg.p + 1)]
+        # 7-row blocks: 214 full blocks and a 2-row remainder per cohort
+        monkeypatch.setattr(simulation, "_BLOCK_CELLS", 7 * cfg.p)
+        blocked = simulate_replicate(cfg, 1)
+        for name in COLUMNS:
+            assert_allclose(getattr(blocked, name), getattr(whole, name), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pleiotropy", [Pleiotropy.none(), Pleiotropy.directional(0.05, 0.02)])
+    def test_matches_whole_matrix_draw(self, pleiotropy):
+        # the blocks draw the same uniforms and normals as whole arrays would
+        cfg = small_cfg(pleiotropy=pleiotropy)
+        for r in range(3):
+            got = simulate_replicate(cfg, r)
+            for name, ref in zip(COLUMNS, whole_matrix_replicate(cfg, r)):
+                assert_allclose(getattr(got, name), ref, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("maf", [0.3, 0.5])
+    def test_constant_genotype_column_raises(self, maf):
+        # three individuals leave some of 50 columns constant
+        with pytest.raises(DegenerateGenotype):
+            simulate_replicate(small_cfg(p=50, n=3, maf=maf), 0)
+
+    def test_memory_bounded_by_block(self):
+        # one n x p float64 array here is 153 MiB
+        cfg = ScenarioConfig(p=200, n=100_000, pleiotropy=Pleiotropy.directional(0.05, 0.02))
+        tracemalloc.start()
+        try:
+            simulate_replicate(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_single_contaminated_snp_is_strongest(self):
         cfg = small_cfg(pleiotropy=Pleiotropy.idiosyncratic_single(0.1, 0.02))

@@ -20,6 +20,7 @@ from mrhetero import (
     marginal_regressions,
     parse_summary_file,
 )
+from mrhetero.summary_data import TripleArrays, blocked_regressions
 
 from conftest import wls_intercept_normal_equations
 
@@ -249,6 +250,43 @@ class TestMarginalRegression:
             assert_allclose(ses[j], s, rtol=1e-9)
 
 
+def _accumulate(Z, Y, rows):
+    return blocked_regressions(
+        (Z[start:start + rows], Y[start:start + rows]) for start in range(0, Z.shape[0], rows))
+
+
+class TestBlockedRegressions:
+    @pytest.mark.parametrize("rows", [2000, 333, 1])
+    def test_blocks_match_marginal_regressions(self, rng, rows):
+        # 333 rows leave a 2-row remainder block; genotypes are shifted by
+        # 2 maf as the simulator shifts them
+        n, p, maf = 2000, 9, 0.3
+        Z = rng.binomial(2, maf, size=(n, p)) - 2 * maf
+        Y = Z @ rng.uniform(0.05, 0.1, (p, 2)) + rng.standard_normal((n, 2))
+        beta, se = _accumulate(Z, Y, rows)
+        assert beta.shape == se.shape == (p, 2)
+        for k in range(2):
+            b, s = marginal_regressions(Z, Y[:, k])
+            assert_allclose(beta[:, k], b, rtol=1e-12, atol=0)
+            assert_allclose(se[:, k], s, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("maf", [0.3, 0.5])
+    @pytest.mark.parametrize("genotype", [0, 1, 2])
+    def test_constant_shifted_column(self, rng, maf, genotype):
+        # at maf 0.5 the shift is exactly 1.0, so genotype 1 becomes a
+        # column of exact zeros
+        n = 100_000
+        Z = rng.binomial(2, maf, size=(n, 3)) - 2 * maf
+        Z[:, 1] = (genotype > 0) - 2 * maf + (genotype > 1)
+        Y = rng.standard_normal((n, 2))
+        with pytest.raises(DegenerateGenotype):
+            _accumulate(Z, Y, 1310)
+
+    def test_needs_three_rows(self):
+        with pytest.raises(ValueError):
+            _accumulate(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), 1)
+
+
 class TestTripleArrays:
     def test_sequence_roundtrip(self):
         triples = [HarmonizedTriple("rs1", 0.1, 0.01, 0.2, 0.02, 0.05, 0.01),
@@ -262,3 +300,23 @@ class TestTripleArrays:
     def test_positive_se_enforced(self):
         with pytest.raises(ValueError):
             HarmonizedTriple("rs1", 0.1, 0.0, 0.2, 0.02, 0.05, 0.01)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (1, 0.0, "se_gamma_tr must be a positive finite number"),
+        (3, -0.1, "se_gamma_ou must be a positive finite number"),
+        (5, math.inf, "se_capgamma_ou must be a positive finite number"),
+        (0, math.nan, "gamma_tr is not finite"),
+        (4, -math.inf, "capgamma_ou is not finite"),
+    ])
+    def test_checked_columns_match_row_validation(self, column, value, message):
+        columns = [np.array([0.1, -0.1]), np.array([0.01, 0.02]), np.array([0.2, -0.15]),
+                   np.array([0.02, 0.01]), np.array([0.05, -0.04]), np.array([0.01, 0.02])]
+        arrays = TripleArrays.checked(["rs1", "rs2"], *columns)
+        assert list(arrays) == [HarmonizedTriple("rs1", *(float(c[0]) for c in columns)),
+                                HarmonizedTriple("rs2", *(float(c[1]) for c in columns))]
+        columns[column][1] = value
+        row = [float(c[1]) for c in columns]
+        with pytest.raises(ValueError, match=message):
+            HarmonizedTriple("rs2", *row)
+        with pytest.raises(ValueError, match=message):
+            TripleArrays.checked(["rs1", "rs2"], *columns)
