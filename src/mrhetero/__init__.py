@@ -6,7 +6,7 @@ test, bootstrap inference, baseline MR methods, and a seeded Monte-Carlo
 benchmark harness.
 """
 
-from .bootstrap import BootstrapConfig, BootstrapResult, CiKind, bootstrap
+from .bootstrap import BootstrapConfig, BootstrapResult, CiKind, bootstrap, bootstrap_many
 from .errors import (
     DataError,
     DegenerateDesign,
@@ -20,7 +20,16 @@ from .errors import (
     TooManyFailures,
     VanishingDenominator,
 )
-from .estimators import Method, MrEstimate, estimate, mr_wald, mr_wald_d, mr_wald_r, point_estimate
+from .estimators import (
+    Method,
+    MrEstimate,
+    estimate,
+    estimate_many,
+    mr_wald,
+    mr_wald_d,
+    mr_wald_r,
+    point_estimate,
+)
 from .heterogeneity import HetTestResult, chisq_sf, het_test
 from .kernels import (
     IvStrength,
@@ -90,10 +99,12 @@ __all__ = [
     "WeightedPairs",
     "as_triple_arrays",
     "bootstrap",
+    "bootstrap_many",
     "chisq_sf",
     "divw",
     "divw_variance",
     "estimate",
+    "estimate_many",
     "harmonize",
     "het_test",
     "iv_strength_diagnostics",

@@ -3,7 +3,8 @@
 The SNP triple is the resampling unit, which preserves the within-SNP
 dependence between the outcome-cohort statistics. Replicate ``b`` draws its
 resample indices from an independent child stream of the configured seed,
-so results do not depend on execution order or thread count.
+so results do not depend on execution order or thread count. Each resample
+is drawn once and shared by every estimator bootstrapped together.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -97,26 +98,62 @@ def bootstrap(
         More than half of the replicates failed, or fewer than 2 succeeded.
     """
     arrays = as_triple_arrays(triples)
-    p = len(arrays)
-    if p < 2:
+    if len(arrays) < 2:
         raise DegenerateInput("bootstrap needs at least 2 SNPs")
     if point is None:
         point = float(estimator(arrays))
+    (result,) = bootstrap_many([estimator], arrays, cfg, [point])
+    if isinstance(result, TooManyFailures):
+        raise result
+    return result
 
-    values = np.empty(cfg.n_boot)
-    ok = np.zeros(cfg.n_boot, dtype=bool)
+
+def bootstrap_many(
+    estimators: Sequence[Callable],
+    triples,
+    cfg: BootstrapConfig,
+    points: Sequence[float],
+) -> list[BootstrapResult | TooManyFailures]:
+    """Bootstrap several estimators on one shared set of resamples.
+
+    Replicate ``b`` draws its indices once and every estimator reads that
+    same resample, so each result equals what :func:`bootstrap` gives for
+    that estimator alone. ``points`` are the full-sample estimates, in the
+    order of ``estimators``.
+
+    Returns, in estimator order, each :class:`BootstrapResult` or the
+    :class:`TooManyFailures` that :func:`bootstrap` would raise for it.
+
+    Raises
+    ------
+    DegenerateInput
+        Fewer than 2 SNPs.
+    """
+    arrays = as_triple_arrays(triples)
+    p = len(arrays)
+    if p < 2:
+        raise DegenerateInput("bootstrap needs at least 2 SNPs")
+
+    values = np.empty((len(estimators), cfg.n_boot))
+    ok = np.zeros(values.shape, dtype=bool)
     for b in range(cfg.n_boot):
-        idx = _replicate_rng(cfg.seed, b).integers(0, p, size=p)
-        try:
-            values[b] = float(estimator(arrays.take(idx)))
-        except _RESAMPLE_FAILURES:
-            continue
-        ok[b] = True
+        sample = arrays.take(_replicate_rng(cfg.seed, b).integers(0, p, size=p))
+        for k, estimator in enumerate(estimators):
+            try:
+                values[k, b] = float(estimator(sample))
+            except _RESAMPLE_FAILURES:
+                continue
+            ok[k, b] = True
+    return [_summarise(v[m], cfg, point) for v, m, point in zip(values, ok, points)]
 
-    n_failed = int(cfg.n_boot - ok.sum())
-    if n_failed > cfg.n_boot / 2 or ok.sum() < 2:
-        raise TooManyFailures(n_failed, cfg.n_boot)
-    kept = values[ok]
+
+def _summarise(
+    kept: np.ndarray, cfg: BootstrapConfig, point: float
+) -> BootstrapResult | TooManyFailures:
+    """SE and CI from the successful replicate values ``kept``."""
+    n_failed = cfg.n_boot - len(kept)
+    if n_failed > cfg.n_boot / 2 or len(kept) < 2:
+        return TooManyFailures(n_failed, cfg.n_boot)
     se = float(kept.std(ddof=1))
     if cfg.ci_kind is CiKind.NORMAL_APPROX:
         z = z_quantile(cfg.level)

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .bootstrap import BootstrapConfig, bootstrap, normal_ci
-from .errors import VanishingDenominator
+from .bootstrap import BootstrapConfig, bootstrap_many, normal_ci
+from .errors import MrHeteroError, VanishingDenominator
 from .kernels import WeightedPairs
 from .summary_data import TripleArrays, as_triple_arrays
+
+# Not called here: the benchmark's traced run (bench/spans.py) wraps this
+# name on this module by attribute.
+from .bootstrap import bootstrap  # noqa: F401
 
 
 class Method(str, enum.Enum):
@@ -158,9 +162,7 @@ def point_estimator(method: Method):
 
 def point_estimate(method: Method, triples) -> MrEstimate:
     """Point estimate without inference."""
-    a = as_triple_arrays(triples)
-    beta, aux = _POINT[Method(method)](a)
-    return MrEstimate(method=Method(method), beta=beta, n_snps=len(a), auxiliary=aux)
+    return estimate(method, triples)
 
 
 def estimate(method: Method, triples, boot: BootstrapConfig | None = None) -> MrEstimate:
@@ -170,38 +172,61 @@ def estimate(method: Method, triples, boot: BootstrapConfig | None = None) -> Mr
     which ships its own plug-in asymptotic variance and is reported with the
     matching normal interval (the variance the method is known by).
     """
-    method = Method(method)
+    (result,) = estimate_many([method], triples, boot)
+    if isinstance(result, MrHeteroError):
+        raise result
+    return result
+
+
+def estimate_many(methods, triples, boot: BootstrapConfig | None = None) -> list:
+    """:func:`estimate` for several methods, bootstrapped on shared resamples.
+
+    Every bootstrapped method reads the same resample of each replicate
+    (:func:`~mrhetero.bootstrap.bootstrap_many`), so each result equals the
+    one-method call. Returns, in method order, each :class:`MrEstimate` or
+    the :class:`~mrhetero.errors.MrHeteroError` that :func:`estimate` alone
+    would raise for it: the point estimate's error first, then the
+    bootstrap's. Errors of any other type propagate.
+    """
+    methods = [Method(m) for m in methods]
     a = as_triple_arrays(triples)
-    beta, aux = _POINT[method](a)
+    out: list = []
+    for method in methods:
+        try:
+            beta, aux = _POINT[method](a)
+        except MrHeteroError as exc:
+            out.append(exc)
+            continue
+        e = MrEstimate(method=method, beta=beta, n_snps=len(a), auxiliary=aux)
+        if boot is not None and method is Method.DIVW:
+            se = math.sqrt(aux["analytic_variance"])
+            e = _with_interval(e, se, *normal_ci(beta, se, boot.level), boot.level)
+        out.append(e)
     if boot is None:
-        return MrEstimate(method=method, beta=beta, n_snps=len(a), auxiliary=aux)
+        return out
 
-    if method is Method.DIVW:
-        se = math.sqrt(aux["analytic_variance"])
-        lo, hi = normal_ci(beta, se, boot.level)
-        return MrEstimate(
-            method=method,
-            beta=beta,
-            n_snps=len(a),
-            se=se,
-            ci_low=lo,
-            ci_high=hi,
-            level=boot.level,
-            auxiliary=aux,
+    booted = [
+        k for k, e in enumerate(out) if isinstance(e, MrEstimate) and e.method is not Method.DIVW
+    ]
+    if not booted:
+        return out
+    try:
+        results = bootstrap_many(
+            [point_estimator(out[k].method) for k in booted], a, boot, [out[k].beta for k in booted]
         )
+    except MrHeteroError as exc:
+        results = [exc] * len(booted)
+    for k, res in zip(booted, results):
+        if isinstance(res, MrHeteroError):
+            out[k] = res
+        else:
+            out[k] = _with_interval(out[k], res.se, res.ci_low, res.ci_high, boot.level,
+                                    bootstrap_failed=float(res.n_failed))
+    return out
 
-    res = bootstrap(point_estimator(method), a, boot, point=beta)
-    aux = {**aux, "bootstrap_failed": float(res.n_failed)}
-    return MrEstimate(
-        method=method,
-        beta=beta,
-        n_snps=len(a),
-        se=res.se,
-        ci_low=res.ci_low,
-        ci_high=res.ci_high,
-        level=boot.level,
-        auxiliary=aux,
-    )
+
+def _with_interval(e: MrEstimate, se, lo, hi, level, **aux) -> MrEstimate:
+    return replace(e, se=se, ci_low=lo, ci_high=hi, level=level, auxiliary={**e.auxiliary, **aux})
 
 
 def mr_wald(triples) -> MrEstimate:

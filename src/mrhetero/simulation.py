@@ -25,15 +25,17 @@ from .bootstrap import BootstrapConfig, stream_seed
 from .errors import (
     DegenerateDesign,
     DegenerateInput,
+    MrHeteroError,
     TooManyFailures,
     VanishingDenominator,
 )
-from .estimators import Method, estimate
+from .estimators import Method, estimate_many
 from .kernels import REL_DENOM_TOL
 from .summary_data import TripleArrays, blocked_regressions
 
 # Not called here: the benchmark's traced run (bench/spans.py) wraps these
 # names on this module by attribute.
+from .estimators import estimate  # noqa: F401
 from .summary_data import as_triple_arrays, marginal_regressions  # noqa: F401
 
 THREADS_ENV_VAR = "MR_HETERO_THREADS"
@@ -449,11 +451,11 @@ def _replicate_results(cfg: ScenarioConfig, methods, boot: BootstrapConfig, r: i
     # seed disjoint from the data streams.
     boot_r = replace(boot, seed=stream_seed(boot.seed, r, domain=1))
     out = {}
-    for m in methods:
-        try:
-            est = estimate(m, arrays, boot_r)
-        except _METHOD_FAILURES:
+    for m, est in zip(methods, estimate_many(methods, arrays, boot_r)):
+        if isinstance(est, _METHOD_FAILURES):
             out[m] = None
+        elif isinstance(est, MrHeteroError):
+            raise est
         else:
             out[m] = (est.beta, est.ci_low, est.ci_high)
     return out

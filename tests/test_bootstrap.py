@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mrhetero import (
     TooManyFailures,
     VanishingDenominator,
     bootstrap,
+    bootstrap_many,
 )
 from mrhetero.bootstrap import stream_seed
 from mrhetero.summary_data import as_triple_arrays
@@ -125,6 +128,49 @@ class TestBootstrap:
             BootstrapConfig(level=1.0)
         with pytest.raises(ValueError):
             BootstrapConfig(seed=-1)
+
+
+class TestBootstrapMany:
+    def test_failing_estimator_leaves_its_neighbour_unchanged(self, rng):
+        t, _, _ = random_triples(rng, 30, noise=0.05)
+        arrays = as_triple_arrays(t)
+
+        def always_fails(tr):
+            raise VanishingDenominator("no luck")
+
+        def est(tr):
+            a = as_triple_arrays(tr)
+            return float(np.mean(a.capgamma_ou / a.gamma_tr))
+
+        cfg = BootstrapConfig(n_boot=300, seed=42)
+        point = est(arrays)
+        failed, res = bootstrap_many([always_fails, est], t, cfg, [0.0, point])
+        assert isinstance(failed, TooManyFailures)
+        assert failed.details == {"n_failed": 300, "n_boot": 300}
+        assert res == bootstrap(est, t, cfg, point=point)
+        replayed = np.array([
+            est(arrays.take(replay_resample_indices(42, b, 30))) for b in range(300)
+        ])
+        assert res.se == replayed.std(ddof=1)
+
+    def test_each_resample_is_drawn_once(self, rng, monkeypatch):
+        # the package re-exports the function under the module's name
+        boot_module = importlib.import_module("mrhetero.bootstrap")
+        t, _, _ = random_triples(rng, 12, noise=0.05)
+        seen = []
+
+        def est(tr):
+            seen.append(tuple(as_triple_arrays(tr).snp_ids))
+            return 0.0
+
+        draws = []
+        replicate_rng = boot_module._replicate_rng
+        monkeypatch.setattr(boot_module, "_replicate_rng",
+                            lambda seed, b: draws.append(b) or replicate_rng(seed, b))
+        bootstrap_many([est, est, est], t, BootstrapConfig(n_boot=20, seed=1), [0.0] * 3)
+        assert draws == list(range(20))
+        # the three estimators read the same resample of each replicate
+        assert seen[0::3] == seen[1::3] == seen[2::3]
 
 
 class TestStreamSeed:

@@ -167,6 +167,24 @@ class TestAnalyze:
         (est,) = json.loads(out)["estimates"]
         assert est["ci"][0] < est["ci"][1]
 
+    @pytest.mark.parametrize("p,methods,error", [
+        (1, "MrWald,Egger", "DegenerateInput"),
+        (1, "Egger,MrWald", "DegenerateDesign"),
+        (1, "Divw,MrWald", "DegenerateInput"),
+        (2, "MrWald,Egger", "DegenerateDesign"),
+    ])
+    def test_first_failing_method_in_order_sets_the_error(self, tmp_path, capsys, p, methods, error):
+        # Methods share one bootstrap pass, but the error reported is still
+        # that of the first method, in the order given, that fails alone: a
+        # point estimate's error before its bootstrap's.
+        tr, oug, ouy = write_inputs(tmp_path, p=p)
+        code, out, err = run_cli(
+            capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+            "--outcome", ouy, "--methods", methods, "--boot", "50")
+        assert code == 2
+        assert json.loads(err)["error"] == error
+        assert out == ""
+
 
 class TestHetTest:
     def test_identical_files_give_p_one(self, tmp_path, capsys):
@@ -325,6 +343,15 @@ class TestSimulate:
                                  "--p", "5", "--n", "300", flag, value)
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
+        assert out == ""
+
+    def test_bad_thread_count_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MR_HETERO_THREADS", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "2",
+                                 "--p", "5", "--n", "300", "--boot", "10")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataError", "message": "MR_HETERO_THREADS must be an integer, got 'abc'"}
         assert out == ""
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 
 from mrhetero import (
     BootstrapConfig,
+    CiKind,
+    DegenerateDesign,
+    DegenerateInput,
     Method,
+    MrEstimate,
     VanishingDenominator,
     estimate,
+    estimate_many,
     mr_wald,
     mr_wald_d,
     mr_wald_r,
@@ -201,6 +207,40 @@ class TestEstimateComposition:
         t, _, _ = random_triples(rng, 10, noise=0.02)
         est = point_estimate(Method.WEIGHTED_MEDIAN, t)
         assert est.se is None and est.ci_low is None and est.ci_high is None
+
+
+class TestEstimateMany:
+    @pytest.mark.parametrize("ci_kind", list(CiKind))
+    def test_equals_one_method_calls(self, rng, ci_kind):
+        t, _, _ = random_triples(rng, 40, noise=0.05)
+        boot = BootstrapConfig(n_boot=80, seed=6, ci_kind=ci_kind)
+        assert estimate_many(list(Method), t, boot) == [estimate(m, t, boot) for m in Method]
+
+    def test_one_resample_draw_per_replicate(self, rng, monkeypatch):
+        boot_module = importlib.import_module("mrhetero.bootstrap")
+        t, _, _ = random_triples(rng, 30, noise=0.05)
+        calls = []
+        replicate_rng = boot_module._replicate_rng
+        monkeypatch.setattr(boot_module, "_replicate_rng",
+                            lambda seed, b: calls.append(b) or replicate_rng(seed, b))
+        methods = [m for m in Method if m is not Method.DIVW]
+        out = estimate_many(methods, t, BootstrapConfig(n_boot=50, seed=2))
+        assert len(methods) == 6 and all(isinstance(e, MrEstimate) for e in out)
+        assert len(calls) == 50
+
+    def test_errors_returned_in_method_order(self, rng):
+        boot = BootstrapConfig(n_boot=30, seed=1)
+        one, _, _ = random_triples(rng, 1)
+        out = estimate_many([Method.MR_WALD, Method.EGGER, Method.DIVW], one, boot)
+        assert [type(e) for e in out] == [DegenerateInput, DegenerateDesign, MrEstimate]
+        with pytest.raises(DegenerateInput):
+            estimate(Method.MR_WALD, one, boot)
+        with pytest.raises(DegenerateDesign):
+            estimate(Method.EGGER, one, boot)
+
+    def test_without_bootstrap_gives_points(self, rng):
+        t, _, _ = random_triples(rng, 10, noise=0.02)
+        assert estimate_many(list(Method), t) == [point_estimate(m, t) for m in Method]
 
 
 class TestOracleVariance:
