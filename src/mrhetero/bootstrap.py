@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -23,6 +24,11 @@ from .summary_data import as_triple_arrays
 #: Estimator failures that a resample may legitimately trigger; they are
 #: counted and excluded rather than aborting the whole call.
 _RESAMPLE_FAILURES = (VanishingDenominator, DegenerateDesign)
+
+#: Replicates per work item when :func:`bootstrap_many` runs on threads.
+#: Small enough that a thread on a slower core takes fewer items; results do
+#: not depend on it.
+_CHUNK = 20
 
 
 class CiKind(str, enum.Enum):
@@ -113,13 +119,16 @@ def bootstrap_many(
     triples,
     cfg: BootstrapConfig,
     points: Sequence[float],
+    workers: int = 1,
 ) -> list[BootstrapResult | TooManyFailures]:
     """Bootstrap several estimators on one shared set of resamples.
 
     Replicate ``b`` draws its indices once and every estimator reads that
     same resample, so each result equals what :func:`bootstrap` gives for
     that estimator alone. ``points`` are the full-sample estimates, in the
-    order of ``estimators``.
+    order of ``estimators``. With ``workers > 1`` the replicates are split
+    into chunks run on that many threads, so the estimators must be safe to
+    call concurrently; the results are the same for any ``workers``.
 
     Returns, in estimator order, each :class:`BootstrapResult` or the
     :class:`TooManyFailures` that :func:`bootstrap` would raise for it.
@@ -128,6 +137,9 @@ def bootstrap_many(
     ------
     DegenerateInput
         Fewer than 2 SNPs.
+
+    Any other exception an estimator raises propagates: the one from the
+    lowest replicate, as in a sequential run.
     """
     arrays = as_triple_arrays(triples)
     p = len(arrays)
@@ -136,14 +148,29 @@ def bootstrap_many(
 
     values = np.empty((len(estimators), cfg.n_boot))
     ok = np.zeros(values.shape, dtype=bool)
-    for b in range(cfg.n_boot):
-        sample = arrays.take(_replicate_rng(cfg.seed, b).integers(0, p, size=p))
-        for k, estimator in enumerate(estimators):
+
+    def run(replicates: range) -> None:
+        for b in replicates:
+            sample = arrays.take(_replicate_rng(cfg.seed, b).integers(0, p, size=p))
+            for k, estimator in enumerate(estimators):
+                try:
+                    values[k, b] = float(estimator(sample))
+                except _RESAMPLE_FAILURES:
+                    continue
+                ok[k, b] = True
+
+    if workers <= 1:
+        run(range(cfg.n_boot))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run, range(b, min(b + _CHUNK, cfg.n_boot)))
+                       for b in range(0, cfg.n_boot, _CHUNK)]
             try:
-                values[k, b] = float(estimator(sample))
-            except _RESAMPLE_FAILURES:
-                continue
-            ok[k, b] = True
+                for f in futures:
+                    f.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return [_summarise(v[m], cfg, point) for v, m, point in zip(values, ok, points)]
 
 

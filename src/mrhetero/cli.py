@@ -173,13 +173,21 @@ def _bootstrap_config(args, seed: int, ci_kind: CiKind) -> BootstrapConfig:
         raise DataError(str(exc)) from None
 
 
+def _thread_count() -> int:
+    try:
+        return thread_count()
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+
+
 def cmd_analyze(args) -> int:
     methods = _parse_methods(args.methods)
     triples, report = _load_inputs(args)
     ci_kind = CiKind.PERCENTILE if args.ci_kind == "percentile" else CiKind.NORMAL_APPROX
     boot = _bootstrap_config(args, args.seed, ci_kind)
+    workers = _thread_count()
     het = het_test(triples)
-    estimates = estimate_many(methods, triples, boot)
+    estimates = estimate_many(methods, triples, boot, workers)
     for e in estimates:
         if isinstance(e, MrHeteroError):
             raise e
@@ -279,10 +287,7 @@ def cmd_simulate(args) -> int:
     methods = _parse_methods(args.methods)
     seed = cfg.seed if args.boot_seed is None else args.boot_seed
     boot = _bootstrap_config(args, seed, CiKind.NORMAL_APPROX)
-    try:
-        thread_count()
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    _thread_count()
     summary = run_scenario(cfg, methods, boot)
     doc = _round_doc({"config": cfg.to_json_dict(), "summary": summary.to_json_dict()})
     _emit(doc, _summary_tsv(doc["summary"]), args)

@@ -178,15 +178,15 @@ def estimate(method: Method, triples, boot: BootstrapConfig | None = None) -> Mr
     return result
 
 
-def estimate_many(methods, triples, boot: BootstrapConfig | None = None) -> list:
+def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers: int = 1) -> list:
     """:func:`estimate` for several methods, bootstrapped on shared resamples.
 
     Every bootstrapped method reads the same resample of each replicate
-    (:func:`~mrhetero.bootstrap.bootstrap_many`), so each result equals the
-    one-method call. Returns, in method order, each :class:`MrEstimate` or
-    the :class:`~mrhetero.errors.MrHeteroError` that :func:`estimate` alone
-    would raise for it: the point estimate's error first, then the
-    bootstrap's. Errors of any other type propagate.
+    (:func:`~mrhetero.bootstrap.bootstrap_many`, on ``workers`` threads), so
+    each result equals the one-method call. Returns, in method order, each
+    :class:`MrEstimate` or the :class:`~mrhetero.errors.MrHeteroError` that
+    :func:`estimate` alone would raise for it: the point estimate's error
+    first, then the bootstrap's. Errors of any other type propagate.
     """
     methods = [Method(m) for m in methods]
     a = as_triple_arrays(triples)
@@ -212,7 +212,8 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None) -> list
         return out
     try:
         results = bootstrap_many(
-            [point_estimator(out[k].method) for k in booted], a, boot, [out[k].beta for k in booted]
+            [point_estimator(out[k].method) for k in booted], a, boot, [out[k].beta for k in booted],
+            workers,
         )
     except MrHeteroError as exc:
         results = [exc] * len(booted)

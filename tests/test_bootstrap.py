@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,55 @@ class TestBootstrapMany:
         assert draws == list(range(20))
         # the three estimators read the same resample of each replicate
         assert seen[0::3] == seen[1::3] == seen[2::3]
+
+
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    def test_threads_give_the_same_results(self, rng, workers):
+        t, _, _ = random_triples(rng, 8, noise=0.05)
+        poison = as_triple_arrays(t).snp_ids[0]
+
+        def fragile(tr):
+            a = as_triple_arrays(tr)
+            if poison not in set(a.snp_ids):
+                raise VanishingDenominator("poisoned resample")
+            return float(a.gamma_tr.mean())
+
+        def always_fails(tr):
+            raise VanishingDenominator("no luck")
+
+        def ratio(tr):
+            a = as_triple_arrays(tr)
+            return float(np.mean(a.capgamma_ou / a.gamma_tr))
+
+        for ci_kind in CiKind:
+            cfg = BootstrapConfig(n_boot=250, seed=9, ci_kind=ci_kind)
+            args = ([fragile, always_fails, ratio], t, cfg, [0.0, 0.0, 0.0])
+            sequential = bootstrap_many(*args)
+            threaded = bootstrap_many(*args, workers=workers)
+            assert 0 < sequential[0].n_failed < 250
+            assert threaded[0::2] == sequential[0::2]
+            assert isinstance(threaded[1], TooManyFailures)
+            assert threaded[1].details == sequential[1].details
+
+    def test_threads_raise_the_lowest_replicates_error(self, rng):
+        t, _, _ = random_triples(rng, 8)
+        arrays = as_triple_arrays(t)
+        # two replicates in different chunks raise; the first must win
+        bad = {b: tuple(arrays.take(replay_resample_indices(9, b, 8)).snp_ids) for b in (45, 130)}
+
+        def strict(tr):
+            ids = tuple(as_triple_arrays(tr).snp_ids)
+            if ids == bad[45]:
+                time.sleep(0.2)  # the later replicate's error is raised first
+            if ids in bad.values():
+                raise RuntimeError(ids)
+            return 0.0
+
+        cfg = BootstrapConfig(n_boot=200, seed=9)
+        for workers in (1, 3):
+            with pytest.raises(RuntimeError) as raised:
+                bootstrap_many([strict], t, cfg, [0.0], workers=workers)
+            assert raised.value.args == (bad[45],)
 
 
 class TestStreamSeed:

@@ -46,6 +46,21 @@ def run_cli(capsys, *argv):
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("ci_kind", ["normal", "percentile"])
+    def test_output_independent_of_thread_count(self, tmp_path, capsys, monkeypatch, ci_kind):
+        tr, oug, ouy = write_inputs(tmp_path, p=30, shift_ou=0.5)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy,
+                "--methods", "MrWaldR,Ivw,Egger,WeightedMedian", "--boot", "150", "--seed", "7",
+                "--ci-kind", ci_kind]
+        outs = []
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("MR_HETERO_THREADS", threads)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert len({e["se"] for e in json.loads(outs[0])["estimates"]}) == 4
+
     def test_json_document_shape(self, tmp_path, capsys):
         tr, oug, ouy = write_inputs(tmp_path)
         code, out, err = run_cli(
@@ -343,6 +358,16 @@ class TestSimulate:
                                  "--p", "5", "--n", "300", flag, value)
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
+        assert out == ""
+
+    def test_bad_thread_count_exit_2_in_analyze(self, tmp_path, capsys, monkeypatch):
+        tr, oug, ouy = write_inputs(tmp_path)
+        monkeypatch.setenv("MR_HETERO_THREADS", "abc")
+        code, out, err = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+                                 "--outcome", ouy, "--methods", "MrWald", "--boot", "20")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataError", "message": "MR_HETERO_THREADS must be an integer, got 'abc'"}
         assert out == ""
 
     def test_bad_thread_count_exit_2(self, capsys, monkeypatch):

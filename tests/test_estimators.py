@@ -216,6 +216,12 @@ class TestEstimateMany:
         boot = BootstrapConfig(n_boot=80, seed=6, ci_kind=ci_kind)
         assert estimate_many(list(Method), t, boot) == [estimate(m, t, boot) for m in Method]
 
+    @pytest.mark.parametrize("ci_kind", list(CiKind))
+    def test_threads_give_the_same_estimates(self, rng, ci_kind):
+        t, _, _ = random_triples(rng, 40, noise=0.05)
+        boot = BootstrapConfig(n_boot=90, seed=6, ci_kind=ci_kind)
+        assert estimate_many(list(Method), t, boot, workers=3) == estimate_many(list(Method), t, boot)
+
     def test_one_resample_draw_per_replicate(self, rng, monkeypatch):
         boot_module = importlib.import_module("mrhetero.bootstrap")
         t, _, _ = random_triples(rng, 30, noise=0.05)
