@@ -81,8 +81,8 @@ def bootstrap(
     Parameters
     ----------
     estimator : callable
-        Maps a sequence of harmonized triples to a real number.
-    triples : sequence of HarmonizedTriple
+        Maps a :class:`~mrhetero.summary_data.TripleArrays` to a real number.
+    triples : TripleArrays or sequence of HarmonizedTriple
         The full sample; must contain at least 2 SNPs.
     cfg : BootstrapConfig
         Replication count, seed, CI construction, and level.

@@ -4,7 +4,8 @@ Three subcommands: ``analyze`` (parse, harmonize, test, estimate),
 ``het-test`` (the homogeneity test alone), and ``simulate`` (the seeded
 benchmark harness). Results go to stdout (or ``--output``) as JSON or TSV;
 diagnostics and error records go to stderr. Exit codes: 0 success, 2 data
-or usage errors, 1 internal errors.
+or usage errors (including input files that cannot be read or decoded), 1
+internal errors.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ def _load_knots(path: str) -> list[tuple[float, float]]:
                 if len(parts) != 2:
                     raise DataError(f"{path}:{lineno}: expected two numeric columns")
                 knots.append((float(parts[0]), float(parts[1])))
-    except FileNotFoundError:
-        raise DataError(f"g table file not found: {path}", path=path) from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}", path=path) from None
     if not knots:
@@ -254,10 +253,8 @@ def _scenario_config(args) -> ScenarioConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 base = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"config file not found: {args.config}", path=args.config) from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file is not valid JSON: {exc}", path=args.config) from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"config file is not valid UTF-8 JSON: {exc}", path=args.config) from None
         if not isinstance(base, dict):
             raise DataError("config file must contain a JSON object")
     if args.scenario is not None:
@@ -372,14 +369,18 @@ def main(argv=None) -> int:
     except DataError as exc:
         _error_record(exc)
         return 2
-    except FileNotFoundError as exc:
-        record = {"error": "FileNotFound", "message": str(exc), "path": str(exc.filename)}
+    except OSError as exc:
+        # A file that is missing, a directory or unreadable is a usage error.
+        error = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        record = {"error": error, "message": str(exc)}
+        if exc.filename is not None:
+            record["path"] = str(exc.filename)
         print(json.dumps(record), file=sys.stderr)
         return 2
     except MrHeteroError as exc:
         _error_record(exc)
         return 1
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

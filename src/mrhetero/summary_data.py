@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateGenotype,
     DuplicateSnpId,
     EmptyIntersection,
@@ -37,6 +38,9 @@ DEFAULT_COLUMNS = {
 }
 
 _PALINDROMIC_PAIRS = ({"A", "T"}, {"C", "G"})
+
+#: The six numeric fields of a harmonized SNP, in row and column order.
+_VALUES = ("gamma_tr", "se_gamma_tr", "gamma_ou", "se_gamma_ou", "capgamma_ou", "se_capgamma_ou")
 
 
 @dataclass(frozen=True)
@@ -67,10 +71,12 @@ class SnpRecord:
 
 @dataclass(frozen=True)
 class HarmonizedTriple:
-    """Aligned per-SNP summary statistics from all three inputs.
+    """One SNP's row of a :class:`TripleArrays`: its aligned statistics from all three inputs.
 
-    After harmonization all three beta estimates refer to the same effect
-    allele (the treatment file's orientation).
+    Indexing or iterating a :class:`TripleArrays` yields these, and a library
+    caller may pass a list of them wherever triples are accepted. After
+    harmonization all three beta estimates refer to the same effect allele
+    (the treatment file's orientation).
     """
 
     snp_id: str
@@ -82,13 +88,24 @@ class HarmonizedTriple:
     se_capgamma_ou: float
 
     def __post_init__(self):
-        for name in ("se_gamma_tr", "se_gamma_ou", "se_capgamma_ou"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number")
-        for name in ("gamma_tr", "gamma_ou", "capgamma_ou"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} is not finite")
+        _check_triple(self, every=bool)
+
+
+def _check_triple(t, every=np.all) -> None:
+    """Hold a :class:`HarmonizedTriple` or every row of a :class:`TripleArrays` to one rule:
+    positive finite standard errors and finite estimates.
+
+    The comparisons act elementwise on columns and reject NaN; ``every``
+    reduces their result: ``bool`` for a row's floats, on which ``np.all``
+    would make building a row over ten times slower.
+    """
+    for name in ("se_gamma_tr", "se_gamma_ou", "se_capgamma_ou"):
+        v = getattr(t, name)
+        if not every((v > 0) & (v < math.inf)):
+            raise ValueError(f"{name} must be a positive finite number")
+    for name in ("gamma_tr", "gamma_ou", "capgamma_ou"):
+        if not every(abs(getattr(t, name)) < math.inf):
+            raise ValueError(f"{name} is not finite")
 
 
 @dataclass(frozen=True)
@@ -111,22 +128,15 @@ class HarmonizationReport:
 
 
 class TripleArrays(Sequence):
-    """Columnar view of a list of :class:`HarmonizedTriple`.
+    """Harmonized per-SNP summary statistics as seven aligned columns.
 
-    Behaves as an immutable sequence of triples while exposing the seven
-    fields as NumPy arrays, which is what the estimators and the resampling
-    loop actually consume.
+    The one internal representation: :func:`harmonize` and the simulator
+    return it, and the estimators, the het test and the resampling loop read
+    its NumPy columns. It also behaves as an immutable sequence of
+    :class:`HarmonizedTriple` rows, each built on access.
     """
 
-    __slots__ = (
-        "snp_ids",
-        "gamma_tr",
-        "se_gamma_tr",
-        "gamma_ou",
-        "se_gamma_ou",
-        "capgamma_ou",
-        "se_capgamma_ou",
-    )
+    __slots__ = ("snp_ids", *_VALUES)
 
     def __init__(self, snp_ids, gamma_tr, se_gamma_tr, gamma_ou, se_gamma_ou,
                  capgamma_ou, se_capgamma_ou):
@@ -140,41 +150,14 @@ class TripleArrays(Sequence):
 
     @classmethod
     def checked(cls, *columns) -> "TripleArrays":
-        """Build as the constructor does, holding every row to :class:`HarmonizedTriple`'s checks."""
+        """Build as the constructor does, holding every row to :class:`HarmonizedTriple`'s rule."""
         arrays = cls(*columns)
-        for name in ("se_gamma_tr", "se_gamma_ou", "se_capgamma_ou"):
-            v = getattr(arrays, name)
-            if not np.all(np.isfinite(v) & (v > 0)):
-                raise ValueError(f"{name} must be a positive finite number")
-        for name in ("gamma_tr", "gamma_ou", "capgamma_ou"):
-            if not np.all(np.isfinite(getattr(arrays, name))):
-                raise ValueError(f"{name} is not finite")
+        _check_triple(arrays)
         return arrays
-
-    @classmethod
-    def from_triples(cls, triples: Sequence[HarmonizedTriple]) -> "TripleArrays":
-        t = list(triples)
-        return cls(
-            [x.snp_id for x in t],
-            [x.gamma_tr for x in t],
-            [x.se_gamma_tr for x in t],
-            [x.gamma_ou for x in t],
-            [x.se_gamma_ou for x in t],
-            [x.capgamma_ou for x in t],
-            [x.se_capgamma_ou for x in t],
-        )
 
     def take(self, indices) -> "TripleArrays":
         """Row subset (with repetition allowed), e.g. a bootstrap resample."""
-        return TripleArrays(
-            self.snp_ids[indices],
-            self.gamma_tr[indices],
-            self.se_gamma_tr[indices],
-            self.gamma_ou[indices],
-            self.se_gamma_ou[indices],
-            self.capgamma_ou[indices],
-            self.se_capgamma_ou[indices],
-        )
+        return TripleArrays(*(getattr(self, name)[indices] for name in self.__slots__))
 
     def __len__(self) -> int:
         return self.gamma_tr.shape[0]
@@ -182,21 +165,19 @@ class TripleArrays(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return HarmonizedTriple(
-            self.snp_ids[i],
-            float(self.gamma_tr[i]),
-            float(self.se_gamma_tr[i]),
-            float(self.gamma_ou[i]),
-            float(self.se_gamma_ou[i]),
-            float(self.capgamma_ou[i]),
-            float(self.se_capgamma_ou[i]),
-        )
+        return HarmonizedTriple(self.snp_ids[i], *(float(getattr(self, name)[i]) for name in _VALUES))
 
 
 def as_triple_arrays(triples) -> TripleArrays:
+    """``triples`` as columns: a :class:`TripleArrays` as it is, rows copied once.
+
+    The only place a sequence of :class:`HarmonizedTriple` rows, as a library
+    caller may pass, becomes columns.
+    """
     if isinstance(triples, TripleArrays):
         return triples
-    return TripleArrays.from_triples(triples)
+    rows = list(triples)
+    return TripleArrays([t.snp_id for t in rows], *([getattr(t, name) for t in rows] for name in _VALUES))
 
 
 def parse_summary_file(path, columns: dict | None = None, lenient: bool = False) -> list[SnpRecord]:
@@ -205,7 +186,8 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     Parameters
     ----------
     path : str or Path
-        UTF-8 TSV file with one header row.
+        UTF-8 TSV file with one header row, which may start with a
+        byte-order mark.
     columns : dict, optional
         Overrides for :data:`DEFAULT_COLUMNS` (logical name -> header name).
         The ``n`` column is optional; all others are required.
@@ -217,42 +199,53 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     Raises
     ------
     MissingColumn, MalformedRow, DuplicateSnpId
+    DataError
+        The file is not UTF-8 text.
     """
     colmap = {**DEFAULT_COLUMNS, **(columns or {})}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRow(1, "file has no header row")
-        names = [h.strip() for h in header]
-        positions = {}
-        for field in ("snp", "effect_allele", "other_allele", "beta", "se"):
-            try:
-                positions[field] = names.index(colmap[field])
-            except ValueError:
-                raise MissingColumn(colmap[field]) from None
-        n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
-
-        records: list[SnpRecord] = []
-        seen: set[str] = set()
-        n_dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                record = _row_to_record(row, positions, n_pos)
-            except (ValueError, IndexError, OverflowError) as exc:
-                if lenient:
-                    n_dropped += 1
-                    continue
-                raise MalformedRow(lineno, str(exc)) from exc
-            if record.snp_id in seen:
-                raise DuplicateSnpId(record.snp_id)
-            seen.add(record.snp_id)
-            records.append(record)
+    # ``utf-8-sig`` drops a byte-order mark that would otherwise prefix the
+    # first header name.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            records, n_dropped = _read_records(csv.reader(fh, delimiter="\t"), colmap, lenient)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}", path=str(path)) from None
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} malformed rows from {path}", stacklevel=2)
     return records
+
+
+def _read_records(reader, colmap, lenient) -> tuple[list[SnpRecord], int]:
+    header = next(reader, None)
+    if header is None:
+        raise MalformedRow(1, "file has no header row")
+    names = [h.strip() for h in header]
+    positions = {}
+    for field in ("snp", "effect_allele", "other_allele", "beta", "se"):
+        try:
+            positions[field] = names.index(colmap[field])
+        except ValueError:
+            raise MissingColumn(colmap[field]) from None
+    n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
+
+    records: list[SnpRecord] = []
+    seen: set[str] = set()
+    n_dropped = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            record = _row_to_record(row, positions, n_pos)
+        except (ValueError, IndexError, OverflowError) as exc:
+            if lenient:
+                n_dropped += 1
+                continue
+            raise MalformedRow(lineno, str(exc)) from exc
+        if record.snp_id in seen:
+            raise DuplicateSnpId(record.snp_id)
+        seen.add(record.snp_id)
+        records.append(record)
+    return records, n_dropped
 
 
 def _row_to_record(row, positions, n_pos) -> SnpRecord:
@@ -298,7 +291,7 @@ def harmonize(
     outcome_exposure: Sequence[SnpRecord],
     outcome: Sequence[SnpRecord],
     policy: str = "drop",
-) -> tuple[list[HarmonizedTriple], HarmonizationReport]:
+) -> tuple[TripleArrays, HarmonizationReport]:
     """Align the three inputs on shared SNPs and a common effect allele.
 
     The treatment file fixes the allele orientation. Records from the two
@@ -307,6 +300,9 @@ def harmonize(
     SNPs (A/T or C/G) are dropped under ``policy="drop"`` because strand
     cannot be resolved from betas alone; ``policy="keep"`` trusts the stated
     orientation.
+
+    Returns the kept SNPs, in treatment-file order, as one validated
+    :class:`TripleArrays`, and the accounting report.
     """
     if policy not in ("drop", "keep"):
         raise ValueError(f"palindromic policy must be 'drop' or 'keep', got {policy!r}")
@@ -316,7 +312,7 @@ def harmonize(
     union = set(tr_ids) | set(oug) | set(ouG)
     shared = set(tr_ids) & set(oug) & set(ouG)
 
-    triples: list[HarmonizedTriple] = []
+    rows: list[tuple] = []
     flipped = mismatched = palindromic = 0
     for rec in treatment:  # treatment-file order keeps output deterministic
         sid = rec.snp_id
@@ -333,19 +329,10 @@ def harmonize(
         if sign_g < 0 or sign_G < 0:
             flipped += 1
         g, G = oug[sid], ouG[sid]
-        triples.append(
-            HarmonizedTriple(
-                snp_id=sid,
-                gamma_tr=rec.beta,
-                se_gamma_tr=rec.se,
-                gamma_ou=sign_g * g.beta,
-                se_gamma_ou=g.se,
-                capgamma_ou=sign_G * G.beta,
-                se_capgamma_ou=G.se,
-            )
-        )
-    if not triples:
+        rows.append((sid, rec.beta, rec.se, sign_g * g.beta, g.se, sign_G * G.beta, G.se))
+    if not rows:
         raise EmptyIntersection()
+    triples = TripleArrays.checked(*zip(*rows))
     report = HarmonizationReport(
         kept=len(triples),
         flipped=flipped,

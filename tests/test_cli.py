@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import Method
+from mrhetero import HarmonizedTriple, Method
 from mrhetero.cli import _parse_methods, main
 
 BETA0 = -0.3
@@ -141,6 +141,21 @@ class TestAnalyze:
         record = json.loads(err)
         assert record["error"] == "FileNotFound"
         assert "nope.tsv" in record["message"]
+
+    def test_no_row_objects_on_the_analyze_path(self, tmp_path, capsys, monkeypatch):
+        tr, oug, ouy = write_inputs(tmp_path, p=30, shift_ou=0.5)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy,
+                "--methods", ",".join(m.value for m in Method), "--boot", "50", "--seed", "3"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def no_rows(self):
+            raise RuntimeError("analyze built a HarmonizedTriple row")
+
+        monkeypatch.setattr(HarmonizedTriple, "__post_init__", no_rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
 
     def test_tsv_round_trips_json_digits(self, tmp_path, capsys):
         tr, oug, ouy = write_inputs(tmp_path)
@@ -280,6 +295,45 @@ class TestHetTest:
         record = json.loads(err)
         assert record["error"] == "DataError"
         assert record["path"] == str(path) and str(path) in record["message"]
+
+
+class TestUnreadableInput:
+    """Input files that cannot be read or decoded are usage errors (exit 2)."""
+
+    @staticmethod
+    def argv(case, tmp_path):
+        tr, oug, _ = write_inputs(tmp_path)
+        bad = tmp_path / "bad"
+        if case == "latin1_tsv":
+            bad.write_bytes(b"snp\teffect_allele\tother_allele\tbeta\tse\n"
+                            b"rs1\xe9\tA\tG\t0.05\t0.01\n")
+        elif case == "latin1_config":
+            bad.write_bytes(b'{"p": 10, "note": "caf\xe9"}')
+        elif case.startswith("dir_"):
+            bad.mkdir()
+        het = ["het-test", "--treatment", str(bad), "--outcome-exposure", oug]
+        sim = ["simulate", "--replicates", "2", "--p", "8", "--n", "400", "--boot", "20"]
+        return str(bad), {
+            "latin1_tsv": het,
+            "dir_treatment": het,
+            "dir_config": sim + ["--config", str(bad)],
+            "dir_g_table": sim + ["--g", f"table:{bad}"],
+            "latin1_config": sim + ["--config", str(bad)],
+            "missing_config": sim + ["--config", str(bad)],
+            "missing_g_table": sim + ["--g", f"table:{bad}"],
+        }[case]
+
+    @pytest.mark.parametrize("case", ["latin1_tsv", "dir_treatment", "dir_config",
+                                      "dir_g_table", "latin1_config", "missing_config",
+                                      "missing_g_table"])
+    def test_exit_2_with_one_record_naming_the_file(self, tmp_path, capsys, case):
+        path, argv = self.argv(case, tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = err.strip().splitlines()
+        record = json.loads(line)
+        assert record["message"]
+        assert record["path"] == path
 
 
 class TestSimulate:

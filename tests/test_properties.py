@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrhetero import BootstrapConfig, Method, MrEstimate, as_triple_arrays, estimate_many
+from mrhetero import (
+    BootstrapConfig,
+    DegenerateDesign,
+    Method,
+    MrEstimate,
+    VanishingDenominator,
+    as_triple_arrays,
+    estimate_many,
+)
+from mrhetero.kernels import REL_DENOM_TOL
 from mrhetero.summary_data import TripleArrays
 
 from conftest import random_triples
@@ -65,3 +74,93 @@ def test_snp_order_leaves_point_estimates_unchanged(panel):
         assert type(x) is type(y), m
         if isinstance(x, MrEstimate):
             assert y.beta == pytest.approx(x.beta, rel=1e-12), m
+
+
+# Methods whose beta is a slope of capgamma_ou on gamma_tr; the rest divide
+# it by a slope of gamma_ou on gamma_tr.
+SLOPE_ON_GAMMA_TR = {Method.IVW, Method.DIVW, Method.EGGER, Method.WEIGHTED_MEDIAN}
+
+exponents = st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
+# Where a panel sits relative to a guard's threshold, as a multiple of it:
+# clear of the rounding noise of the construction on either side.
+below = st.floats(0.5, 0.9)
+above = st.floats(1.1, 2.0)
+
+
+def triples_of(g, sg, go, sgo, G, sG) -> TripleArrays:
+    return TripleArrays.checked([f"rs{j}" for j in range(len(g))], g, sg, go, sgo, G, sG)
+
+
+def assert_units_do_not_matter(a: TripleArrays, ka: int, kb: int, kc: int) -> list:
+    """Rescale gamma_tr by 2^ka, gamma_ou by 2^kb, capgamma_ou by 2^kc, each with its SE.
+
+    Powers of two make every product and quotient exact, so each method must
+    raise the same error type, or scale its beta exactly by the ratio of the
+    units of its numerator and denominator slopes. Returns the outcomes on
+    ``a`` in ``Method`` order.
+    """
+    cols = columns(a)
+    scaled = TripleArrays(cols[0], *(c * 2.0**k for c, k in zip(cols[1:], (ka, ka, kb, kb, kc, kc))))
+    before = estimate_many(list(Method), a)
+    after = estimate_many(list(Method), scaled)
+    for m, x, y in zip(Method, before, after):
+        assert type(x) is type(y), m
+        if isinstance(x, MrEstimate):
+            k = kc - ka if m in SLOPE_ON_GAMMA_TR else kc - kb
+            assert y.beta == x.beta * 2.0**k, m
+    return before
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels, k=exponents)
+def test_rescaled_units_scale_beta_exactly(panel, k):
+    _, a = draw_panel(*panel)
+    assert_units_do_not_matter(a, *k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels, k=exponents, u=below | above)
+def test_rescaling_keeps_the_ratio_guard_decision(panel, k, u):
+    # gamma_ou orthogonal to gamma_tr under the MrWald weights, plus u times
+    # the threshold slope along gamma_tr.
+    _, a = draw_panel(*panel)
+    w = a.se_gamma_ou**-2
+    r = a.gamma_ou - np.dot(w * a.gamma_tr, a.gamma_ou) / np.dot(w * a.gamma_tr, a.gamma_tr) * a.gamma_tr
+    scale = np.max(np.abs(r)) / np.max(np.abs(a.gamma_tr))
+    gamma_ou = r + u * REL_DENOM_TOL * scale * a.gamma_tr
+    near = triples_of(a.gamma_tr, a.se_gamma_tr, gamma_ou, a.se_gamma_ou, a.capgamma_ou,
+                      a.se_capgamma_ou)
+    before = assert_units_do_not_matter(near, *k)
+    mr_wald = list(Method).index(Method.MR_WALD)
+    assert isinstance(before[mr_wald], VanishingDenominator) == (u < 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels, k=exponents, u=below | above)
+def test_rescaling_keeps_the_constant_design_guard_decision(panel, k, u):
+    # gamma_tr = c (1 + h z) with h set so that the weighted variance of the
+    # regressor over its weighted mean square is u^2 times the guard's 1e-28.
+    rng, a = draw_panel(*panel)
+    w = a.se_capgamma_ou**-2
+    z = rng.standard_normal(len(a))
+    var = np.dot(w, (z - np.dot(w, z) / w.sum()) ** 2) / w.sum()
+    gamma_tr = 0.3 * (1.0 + u * 1e-14 / np.sqrt(var) * z)
+    near = triples_of(gamma_tr, a.se_gamma_tr, a.gamma_ou, a.se_gamma_ou, a.capgamma_ou,
+                      a.se_capgamma_ou)
+    before = assert_units_do_not_matter(near, *k)
+    egger = list(Method).index(Method.EGGER)
+    assert isinstance(before[egger], DegenerateDesign) == (u < 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels, k=exponents, u=below | above)
+def test_rescaling_keeps_the_divw_guard_decision(panel, k, u):
+    # se_gamma_tr^2 = gamma_tr^2 (1 - u 1e-12): the debiased strength is u
+    # times the guard's threshold.
+    _, a = draw_panel(*panel)
+    se_gamma_tr = np.abs(a.gamma_tr) * np.sqrt(1.0 - u * REL_DENOM_TOL)
+    near = triples_of(a.gamma_tr, se_gamma_tr, a.gamma_ou, a.se_gamma_ou, a.capgamma_ou,
+                      a.se_capgamma_ou)
+    before = assert_units_do_not_matter(near, *k)
+    divw = list(Method).index(Method.DIVW)
+    assert isinstance(before[divw], VanishingDenominator) == (u < 1.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mrhetero import (
+    DataError,
     DegenerateGenotype,
     DuplicateSnpId,
     EmptyIntersection,
@@ -91,6 +92,22 @@ class TestParse:
         with pytest.raises(ValueError):
             SnpRecord("rs1", "A", "A", 0.1, 0.1)
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        rows = ["rs1\tA\tG\t0.05\t0.01\t1000", "rs2\tC\tT\t-0.02\t0.02\t900"]
+        plain = write_tsv(tmp_path / "plain.tsv", rows)
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_summary_file(bom) == parse_summary_file(plain)
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        f = tmp_path / "latin.tsv"
+        f.write_bytes("snp\teffect_allele\tother_allele\tbeta\tse\nrs1\u00e9\tA\tG\t0.05\t0.01\n"
+                      .encode("latin-1"))
+        with pytest.raises(DataError) as exc:
+            parse_summary_file(f)
+        assert exc.value.details == {"path": str(f)}
+        assert str(f) in str(exc.value)
+
 
 def rec(sid, ea, oa, beta, se=0.01):
     return SnpRecord(sid, ea, oa, beta, se)
@@ -139,6 +156,16 @@ class TestHarmonize:
         # accounting: categories within the intersection sum to its size
         assert report.kept + report.dropped_mismatch + report.dropped_palindromic == 1
 
+    def test_returns_validated_columns(self):
+        tr = [rec("rs1", "A", "G", 0.05), rec("rs2", "T", "C", -0.03)]
+        oug = [rec("rs1", "G", "A", -0.04), rec("rs2", "T", "C", -0.02)]
+        ouy = [rec("rs1", "A", "G", 0.01), rec("rs2", "C", "T", 0.05)]
+        triples, _ = harmonize(tr, oug, ouy)
+        assert isinstance(triples, TripleArrays)
+        assert list(triples.snp_ids) == ["rs1", "rs2"]
+        assert triples.gamma_ou.tolist() == [0.04, -0.02]
+        assert triples.capgamma_ou.tolist() == [0.01, -0.05]
+
     def test_empty_intersection(self):
         with pytest.raises(EmptyIntersection):
             harmonize([rec("rs1", "A", "G", 0.1)], [rec("rs2", "A", "G", 0.1)],
@@ -159,7 +186,7 @@ class TestHarmonize:
                                   as_records("gamma_ou", "se_gamma_ou"),
                                   as_records("capgamma_ou", "se_capgamma_ou"))
         assert report.flipped == 0
-        assert again == triples
+        assert list(again) == list(triples)
 
     def test_sign_flip_symmetry(self):
         tr = [rec("rs1", "A", "G", 0.05), rec("rs2", "T", "C", -0.03)]
@@ -169,7 +196,7 @@ class TestHarmonize:
         flipped_oug = [SnpRecord(r.snp_id, r.other_allele, r.effect_allele, -r.beta, r.se)
                        for r in oug]
         flipped, _ = harmonize(tr, flipped_oug, ouy)
-        assert flipped == base
+        assert list(flipped) == list(base)
 
 
 class TestMarginalRegression:
