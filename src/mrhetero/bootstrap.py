@@ -5,6 +5,11 @@ dependence between the outcome-cohort statistics. Replicate ``b`` draws its
 resample indices from an independent child stream of the configured seed,
 so results do not depend on execution order or thread count. Each resample
 is drawn once and shared by every estimator bootstrapped together.
+
+Replicates are drawn and evaluated in fixed chunks. An arbitrary estimator
+is called on each resample's rows (:func:`bootstrap_many`); the built-in
+methods are evaluated on a whole chunk from the resamples' SNP counts
+(:func:`bootstrap_chunks` with :func:`resample_counts`).
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .summary_data import as_triple_arrays
 #: counted and excluded rather than aborting the whole call.
 _RESAMPLE_FAILURES = (VanishingDenominator, DegenerateDesign)
 
-#: Replicates per work item when :func:`bootstrap_many` runs on threads.
-#: Small enough that a thread on a slower core takes fewer items; results do
-#: not depend on it.
+#: Replicates per chunk: the unit of work of a thread and of a batched
+#: evaluator. Small enough that a thread on a slower core takes fewer chunks;
+#: results do not depend on it.
 _CHUNK = 20
 
 
@@ -142,29 +147,59 @@ def bootstrap_many(
     lowest replicate, as in a sequential run.
     """
     arrays = as_triple_arrays(triples)
-    p = len(arrays)
-    if p < 2:
-        raise DegenerateInput("bootstrap needs at least 2 SNPs")
 
-    values = np.empty((len(estimators), cfg.n_boot))
-    ok = np.zeros(values.shape, dtype=bool)
-
-    def run(replicates: range) -> None:
-        for b in replicates:
-            sample = arrays.take(_replicate_rng(cfg.seed, b).integers(0, p, size=p))
+    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.empty((len(estimators), len(indices)))
+        ok = np.zeros(values.shape, dtype=bool)
+        for r, row in enumerate(indices):
+            sample = arrays.take(row)
             for k, estimator in enumerate(estimators):
                 try:
-                    values[k, b] = float(estimator(sample))
+                    values[k, r] = float(estimator(sample))
                 except _RESAMPLE_FAILURES:
                     continue
-                ok[k, b] = True
+                ok[k, r] = True
+        return values, ok
 
+    return bootstrap_chunks(evaluate, len(arrays), cfg, points, workers)
+
+
+def bootstrap_chunks(
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    p: int,
+    cfg: BootstrapConfig,
+    points: Sequence[float],
+    workers: int = 1,
+) -> list[BootstrapResult | TooManyFailures]:
+    """The resampling loop of :func:`bootstrap_many`, over any chunk evaluator.
+
+    Replicates are drawn in chunks of ``_CHUNK``, each row from its own
+    stream, and ``evaluate`` maps a chunk's ``rows x p`` resample indices to
+    the values of every estimator on every row and the mask of rows on which
+    each succeeded (both ``len(points) x rows``). Chunks run on ``workers``
+    threads; their boundaries are fixed, so the results do not depend on
+    ``workers``. An exception ``evaluate`` raises propagates from the lowest
+    chunk.
+    """
+    if p < 2:
+        raise DegenerateInput("bootstrap needs at least 2 SNPs")
+    values = np.empty((len(points), cfg.n_boot))
+    ok = np.zeros(values.shape, dtype=bool)
+
+    def run(start: int) -> None:
+        stop = min(start + _CHUNK, cfg.n_boot)
+        indices = np.empty((stop - start, p), dtype=np.int64)
+        for r, b in enumerate(range(start, stop)):
+            indices[r] = _replicate_rng(cfg.seed, b).integers(0, p, size=p)
+        values[:, start:stop], ok[:, start:stop] = evaluate(indices)
+
+    starts = range(0, cfg.n_boot, _CHUNK)
     if workers <= 1:
-        run(range(cfg.n_boot))
+        for start in starts:
+            run(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, range(b, min(b + _CHUNK, cfg.n_boot)))
-                       for b in range(0, cfg.n_boot, _CHUNK)]
+            futures = [pool.submit(run, start) for start in starts]
             try:
                 for f in futures:
                     f.result()
@@ -172,6 +207,14 @@ def bootstrap_many(
                 pool.shutdown(cancel_futures=True)
                 raise
     return [_summarise(v[m], cfg, point) for v, m, point in zip(values, ok, points)]
+
+
+def resample_counts(indices: np.ndarray, p: int) -> np.ndarray:
+    """Copies of each of ``p`` SNPs in each row of resample ``indices``, as floats."""
+    counts = np.empty((len(indices), p))
+    for r, row in enumerate(indices):
+        counts[r] = np.bincount(row, minlength=p)
+    return counts
 
 
 def _summarise(

@@ -98,7 +98,7 @@ def _parse_g(raw: str) -> GFunction:
 def _load_knots(path: str) -> list[tuple[float, float]]:
     knots = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -251,7 +251,7 @@ def _scenario_config(args) -> ScenarioConfig:
     base: dict = {}
     if args.config is not None:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 base = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"config file is not valid UTF-8 JSON: {exc}", path=args.config) from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .bootstrap import BootstrapConfig, bootstrap_many, normal_ci
+from .bootstrap import _RESAMPLE_FAILURES, BootstrapConfig, bootstrap_chunks, normal_ci, resample_counts
 from .errors import MrHeteroError, VanishingDenominator
 from .kernels import WeightedPairs
 from .summary_data import TripleArrays, as_triple_arrays
@@ -71,11 +71,8 @@ class MrEstimate:
 
 
 def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: str) -> float:
-    # Scale-free threshold: |den| is compared against the natural size of a
-    # slope of gamma_ou on gamma_tr, so rescaling either axis cannot change
-    # the outcome of the guard.
     scale = float(np.max(np.abs(a.gamma_ou))) / float(np.max(np.abs(a.gamma_tr)))
-    if abs(denominator) <= kernels.REL_DENOM_TOL * scale:
+    if _vanishes(denominator, scale):
         raise VanishingDenominator(
             f"{what}: exposure-on-exposure slope is indistinguishable from zero",
             value=denominator,
@@ -83,31 +80,66 @@ def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: st
     return numerator / denominator
 
 
+def _vanishes(denominator, scale):
+    # Scale-free threshold: |den| is compared against the natural size of a
+    # slope of gamma_ou on gamma_tr, max|gamma_ou| / max|gamma_tr|, so
+    # rescaling either axis cannot change the outcome of the guard.
+    return abs(denominator) <= kernels.REL_DENOM_TOL * scale
+
+
+def _held_max(counts: np.ndarray, values: np.ndarray, descending: np.ndarray) -> np.ndarray:
+    """Per row of ``counts``, the max of ``values`` over the SNPs the resample holds.
+
+    ``descending`` orders ``values`` from the largest. A resample of p draws
+    misses all of the first 64 with probability below e^-64, so only those
+    are read unless it does.
+    """
+    head = descending[:64]
+    held = np.take(counts, head, axis=1) > 0.0
+    first = held.argmax(axis=1)
+    out = values[head[first]]
+    for r in np.flatnonzero(~held[np.arange(len(counts)), first]):
+        out[r] = values[counts[r] > 0.0].max()
+    return out
+
+
+def _outcome_fit(a: TripleArrays) -> WeightedPairs:
+    """``capgamma_ou`` on ``gamma_tr`` with inverse-variance weights."""
+    return WeightedPairs(a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2)
+
+
+def _exposure_fit(a: TripleArrays) -> WeightedPairs:
+    """``gamma_ou`` on ``gamma_tr`` with inverse-variance weights."""
+    return WeightedPairs(a.gamma_tr, a.gamma_ou, a.se_gamma_ou**-2)
+
+
+# Both MrWaldR fits must use the same absolute-error loss: mixing losses
+# between the two regressions biases the ratio even without contamination.
+def _l1_exposure_fit(a: TripleArrays) -> WeightedPairs:
+    return WeightedPairs(a.gamma_tr, a.gamma_ou, float(a.se_capgamma_ou.min()) / a.se_capgamma_ou)
+
+
+def _l1_outcome_fit(a: TripleArrays) -> WeightedPairs:
+    return WeightedPairs(a.gamma_tr, a.capgamma_ou, float(a.se_gamma_ou.min()) / a.se_gamma_ou)
+
+
 def _mr_wald_point(a: TripleArrays) -> tuple[float, dict]:
-    num = kernels.wls_origin(WeightedPairs(a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2))
-    den = kernels.wls_origin(WeightedPairs(a.gamma_tr, a.gamma_ou, a.se_gamma_ou**-2))
+    num = kernels.wls_origin(_outcome_fit(a))
+    den = kernels.wls_origin(_exposure_fit(a))
     beta = _ratio_guard(num, den, a, "MrWald")
     return beta, {"numerator_slope": num, "denominator_slope": den}
 
 
 def _mr_wald_r_point(a: TripleArrays) -> tuple[float, dict]:
-    # Both fits must use the same absolute-error loss: mixing losses between
-    # the two regressions biases the ratio even without contamination.
-    w_exposure = float(a.se_capgamma_ou.min()) / a.se_capgamma_ou
-    w_outcome = float(a.se_gamma_ou.min()) / a.se_gamma_ou
-    den = kernels.l1_origin(WeightedPairs(a.gamma_tr, a.gamma_ou, w_exposure))
-    num = kernels.l1_origin(WeightedPairs(a.gamma_tr, a.capgamma_ou, w_outcome))
+    den = kernels.l1_origin(_l1_exposure_fit(a))
+    num = kernels.l1_origin(_l1_outcome_fit(a))
     beta = _ratio_guard(num, den, a, "MrWaldR")
     return beta, {"numerator_slope": num, "denominator_slope": den}
 
 
 def _mr_wald_d_point(a: TripleArrays) -> tuple[float, dict]:
-    num, num_int = kernels.wls_intercept(
-        WeightedPairs(a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2)
-    )
-    den, den_int = kernels.wls_intercept(
-        WeightedPairs(a.gamma_tr, a.gamma_ou, a.se_gamma_ou**-2)
-    )
+    num, num_int = kernels.wls_intercept(_outcome_fit(a))
+    den, den_int = kernels.wls_intercept(_exposure_fit(a))
     beta = _ratio_guard(num, den, a, "MrWaldD")
     return beta, {
         "numerator_slope": num,
@@ -118,8 +150,7 @@ def _mr_wald_d_point(a: TripleArrays) -> tuple[float, dict]:
 
 
 def _ivw_point(a: TripleArrays) -> tuple[float, dict]:
-    beta = kernels.wls_origin(WeightedPairs(a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2))
-    return beta, {}
+    return kernels.wls_origin(_outcome_fit(a)), {}
 
 
 def _divw_point(a: TripleArrays) -> tuple[float, dict]:
@@ -128,9 +159,7 @@ def _divw_point(a: TripleArrays) -> tuple[float, dict]:
 
 
 def _egger_point(a: TripleArrays) -> tuple[float, dict]:
-    slope, intercept = kernels.wls_intercept(
-        WeightedPairs(a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2)
-    )
+    slope, intercept = kernels.wls_intercept(_outcome_fit(a))
     return slope, {"intercept": intercept}
 
 
@@ -147,6 +176,72 @@ _POINT = {
     Method.EGGER: _egger_point,
     Method.WEIGHTED_MEDIAN: _weighted_median_point,
 }
+
+
+# Each bootstrapped method as the counted kernels behind it: the numerator
+# fit, and the denominator fit of a ratio method (``None`` otherwise). A fit
+# is the counted kernel and the function building its problem from the panel.
+_COUNTED = {
+    Method.MR_WALD: ((kernels.counted_wls_origin, _outcome_fit),
+                     (kernels.counted_wls_origin, _exposure_fit)),
+    Method.MR_WALD_R: ((kernels.counted_l1_origin, _l1_outcome_fit),
+                       (kernels.counted_l1_origin, _l1_exposure_fit)),
+    Method.MR_WALD_D: ((kernels.counted_wls_intercept, _outcome_fit),
+                       (kernels.counted_wls_intercept, _exposure_fit)),
+    Method.IVW: ((kernels.counted_wls_origin, _outcome_fit), None),
+    Method.EGGER: ((kernels.counted_wls_intercept, _outcome_fit), None),
+    Method.WEIGHTED_MEDIAN: ((kernels.counted_weighted_median_ratio, as_triple_arrays), None),
+}
+
+
+def _counted_evaluator(methods, a: TripleArrays):
+    """Chunk evaluator of ``methods`` for :func:`~mrhetero.bootstrap.bootstrap_chunks`.
+
+    Evaluates every method on a chunk of resamples from their SNP counts,
+    with the per-panel terms of each fit computed once here. Each row passes
+    the same guards, and so fails in the same replicates, as the method's
+    point estimator on that resample; the values agree with it to rounding.
+    The few rows whose count form is ill-conditioned (a ratio or a design
+    near its guard) are computed by the point estimator on the resample.
+    """
+    keys = list(dict.fromkeys(f for m in methods for f in _COUNTED[m] if f is not None))
+    counted = [kernel(build(a)) for kernel, build in keys]
+    abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
+    ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
+
+    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            counts = resample_counts(indices, len(a))
+            fits = {key: fit(counts) for key, fit in zip(keys, counted)}
+            scale = None
+            rows = []
+            for m in methods:
+                num, den = _COUNTED[m]
+                beta, passed, resolved = fits[num]
+                if den is not None:
+                    if scale is None:
+                        scale = (_held_max(counts, abs_gamma_ou, ou_descending)
+                                 / _held_max(counts, abs_gamma_tr, tr_descending))
+                    slope, den_passed, den_resolved = fits[den]
+                    beta = beta / slope
+                    passed = passed & den_passed & ~_vanishes(slope, scale)
+                    # Within a factor 1e9 of the guard the ratio amplifies the
+                    # rounding of its denominator past 1e-13 of the value.
+                    resolved = resolved & den_resolved & (abs(slope) > 1e-3 * scale)
+                rows.append((beta, passed, resolved))
+            values, ok, resolved = (np.array(x) for x in zip(*rows))
+        for k, r in zip(*np.nonzero(~resolved)):
+            values[k, r], ok[k, r] = _point_on_resample(methods[k], a.take(indices[r]))
+        return values, ok
+
+    return evaluate
+
+
+def _point_on_resample(method: Method, sample: TripleArrays) -> tuple[float, bool]:
+    try:
+        return _POINT[method](sample)[0], True
+    except _RESAMPLE_FAILURES:
+        return 0.0, False
 
 
 def point_estimator(method: Method):
@@ -182,8 +277,8 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     """:func:`estimate` for several methods, bootstrapped on shared resamples.
 
     Every bootstrapped method reads the same resample of each replicate
-    (:func:`~mrhetero.bootstrap.bootstrap_many`, on ``workers`` threads), so
-    each result equals the one-method call. Returns, in method order, each
+    (:func:`~mrhetero.bootstrap.bootstrap_chunks`, on ``workers`` threads),
+    evaluated from its SNP counts, so each result equals the one-method call. Returns, in method order, each
     :class:`MrEstimate` or the :class:`~mrhetero.errors.MrHeteroError` that
     :func:`estimate` alone would raise for it: the point estimate's error
     first, then the bootstrap's. Errors of any other type propagate.
@@ -211,9 +306,9 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     if not booted:
         return out
     try:
-        results = bootstrap_many(
-            [point_estimator(out[k].method) for k in booted], a, boot, [out[k].beta for k in booted],
-            workers,
+        results = bootstrap_chunks(
+            _counted_evaluator([out[k].method for k in booted], a), len(a), boot,
+            [out[k].beta for k in booted], workers,
         )
     except MrHeteroError as exc:
         results = [exc] * len(booted)

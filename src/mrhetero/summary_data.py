@@ -192,33 +192,34 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
         Overrides for :data:`DEFAULT_COLUMNS` (logical name -> header name).
         The ``n`` column is optional; all others are required.
     lenient : bool
-        When true, rows with unparseable fields are counted and dropped
-        (a warning reports the count) instead of raising
-        :class:`~mrhetero.errors.MalformedRow`.
+        When true, rows with unparseable fields or bytes that are not UTF-8
+        are counted and dropped (a warning reports the count) instead of
+        raising.
 
     Raises
     ------
     MissingColumn, MalformedRow, DuplicateSnpId
     DataError
-        The file is not UTF-8 text.
+        The header, or in strict mode a row, is not UTF-8 text; the
+        message names the line.
     """
     colmap = {**DEFAULT_COLUMNS, **(columns or {})}
     # ``utf-8-sig`` drops a byte-order mark that would otherwise prefix the
-    # first header name.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            records, n_dropped = _read_records(csv.reader(fh, delimiter="\t"), colmap, lenient)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text: {exc.reason}", path=str(path)) from None
+    # first header name. Bytes that are not UTF-8 decode to lone surrogates,
+    # so that the row holding them, not the whole file, is rejected.
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        records, n_dropped = _read_records(csv.reader(fh, delimiter="\t"), colmap, lenient, path)
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} malformed rows from {path}", stacklevel=2)
     return records
 
 
-def _read_records(reader, colmap, lenient) -> tuple[list[SnpRecord], int]:
+def _read_records(reader, colmap, lenient, path) -> tuple[list[SnpRecord], int]:
     header = next(reader, None)
     if header is None:
         raise MalformedRow(1, "file has no header row")
+    if not _is_utf8(header):
+        raise DataError(f"{path}:{reader.line_num}: header is not UTF-8 text", path=str(path))
     names = [h.strip() for h in header]
     positions = {}
     for field in ("snp", "effect_allele", "other_allele", "beta", "se"):
@@ -234,6 +235,11 @@ def _read_records(reader, colmap, lenient) -> tuple[list[SnpRecord], int]:
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if not _is_utf8(row):
+            if lenient:
+                n_dropped += 1
+                continue
+            raise DataError(f"{path}:{reader.line_num}: row is not UTF-8 text", path=str(path))
         try:
             record = _row_to_record(row, positions, n_pos)
         except (ValueError, IndexError, OverflowError) as exc:
@@ -246,6 +252,18 @@ def _read_records(reader, colmap, lenient) -> tuple[list[SnpRecord], int]:
         seen.add(record.snp_id)
         records.append(record)
     return records, n_dropped
+
+
+def _is_utf8(row) -> bool:
+    """False when a cell holds a surrogate that stands for a byte that was not UTF-8."""
+    text = "".join(row)
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _row_to_record(row, positions, n_pos) -> SnpRecord:

@@ -336,6 +336,20 @@ class TestUnreadableInput:
         assert record["path"] == path
 
 
+def test_lenient_het_test_drops_a_row_that_is_not_utf8(tmp_path, capsys):
+    tr, oug, _ = write_inputs(tmp_path)
+    lines = open(tr, "rb").read().splitlines(keepends=True)
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"".join(lines[:3] + [lines[3].replace(b"rs3", b"rs3\xe9")] + lines[4:]))
+    without = tmp_path / "without.tsv"
+    without.write_bytes(b"".join(lines[:3] + lines[4:]))
+    het = ["het-test", "--lenient", "--outcome-exposure", oug, "--treatment"]
+    with pytest.warns(UserWarning, match="dropped 1 malformed"):
+        code, out, _ = run_cli(capsys, *het, str(latin1))
+    assert code == 0
+    assert out == run_cli(capsys, *het, str(without))[1]
+
+
 class TestSimulate:
     def test_deterministic_repeat(self, capsys):
         argv = ["simulate", "--scenario", "i", "--g", "identity", "--replicates", "10",
@@ -373,6 +387,16 @@ class TestSimulate:
         g = json.loads(out)["config"]["g"]
         assert g == {"kind": "tabulated", "knots": [[0.0, 0.0], [0.1, 0.2]]}
 
+    def test_g_table_with_byte_order_mark(self, tmp_path, capsys):
+        plain = tmp_path / "g.tsv"
+        plain.write_text("0.0\t0.0\n0.1\t0.2\n")
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = [run_cli(capsys, "simulate", "--scenario", "i", "--g", f"table:{path}",
+                        "--replicates", "2", "--p", "8", "--n", "400", "--boot", "20",
+                        "--seed", "1")[:2] for path in (plain, bom)]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
     def test_scenario_v_defaults_to_large_cohort(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "v", "--replicates", "2", "--p", "6",
@@ -390,6 +414,15 @@ class TestSimulate:
         assert code == 0
         cfg = json.loads(out)["config"]
         assert cfg["p"] == 10 and cfg["n_replicates"] == 2
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        plain = tmp_path / "scn.json"
+        plain.write_text(json.dumps({"p": 10, "n": 500, "n_replicates": 2, "seed": 2}))
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = [run_cli(capsys, "simulate", "--config", str(path), "--boot", "20")[:2]
+                for path in (plain, bom)]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scn.json"

@@ -20,6 +20,7 @@ from mrhetero import (
     oracle_mr_wald_variance,
     point_estimate,
 )
+from mrhetero.estimators import _held_max
 from mrhetero.kernels import l1_origin, WeightedPairs
 
 from conftest import make_triples, random_triples, wls_intercept_normal_equations
@@ -233,6 +234,12 @@ class TestEstimateMany:
         out = estimate_many(methods, t, BootstrapConfig(n_boot=50, seed=2))
         assert len(methods) == 6 and all(isinstance(e, MrEstimate) for e in out)
         assert len(calls) == 50
+
+    def test_held_max_reads_past_the_largest_64(self):
+        values = np.arange(100.0)
+        counts = np.ones((2, 100))
+        counts[1, 36:] = 0.0  # holds none of the 64 largest values
+        assert list(_held_max(counts, values, np.argsort(-values))) == [99.0, 35.0]
 
     def test_errors_returned_in_method_order(self, rng):
         boot = BootstrapConfig(n_boot=30, seed=1)

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from mrhetero import (
     BootstrapConfig,
+    CiKind,
     DegenerateDesign,
     Method,
     MrEstimate,
+    TooManyFailures,
     VanishingDenominator,
     as_triple_arrays,
+    bootstrap_many,
     estimate_many,
 )
-from mrhetero.kernels import REL_DENOM_TOL
+from mrhetero.estimators import point_estimator
+from mrhetero.kernels import REL_DENOM_TOL, WeightedPairs, l1_origin
 from mrhetero.summary_data import TripleArrays
 
 from conftest import random_triples
@@ -118,19 +122,39 @@ def test_rescaled_units_scale_beta_exactly(panel, k):
     assert_units_do_not_matter(a, *k)
 
 
-@settings(max_examples=15, deadline=None)
-@given(panel=panels, k=exponents, u=below | above)
-def test_rescaling_keeps_the_ratio_guard_decision(panel, k, u):
-    # gamma_ou orthogonal to gamma_tr under the MrWald weights, plus u times
-    # the threshold slope along gamma_tr.
-    _, a = draw_panel(*panel)
+def near_ratio_guard(a: TripleArrays, u: float) -> TripleArrays:
+    """``a`` with MrWald's denominator slope at ``u`` times the ratio guard's threshold.
+
+    gamma_ou is made orthogonal to gamma_tr under the MrWald weights, plus u
+    times the threshold slope along gamma_tr.
+    """
     w = a.se_gamma_ou**-2
     r = a.gamma_ou - np.dot(w * a.gamma_tr, a.gamma_ou) / np.dot(w * a.gamma_tr, a.gamma_tr) * a.gamma_tr
     scale = np.max(np.abs(r)) / np.max(np.abs(a.gamma_tr))
     gamma_ou = r + u * REL_DENOM_TOL * scale * a.gamma_tr
-    near = triples_of(a.gamma_tr, a.se_gamma_tr, gamma_ou, a.se_gamma_ou, a.capgamma_ou,
+    return triples_of(a.gamma_tr, a.se_gamma_tr, gamma_ou, a.se_gamma_ou, a.capgamma_ou,
                       a.se_capgamma_ou)
-    before = assert_units_do_not_matter(near, *k)
+
+
+def near_constant_design(rng, a: TripleArrays, u: float) -> TripleArrays:
+    """``a`` with Egger's regressor at ``u`` times the constant-design guard's threshold.
+
+    gamma_tr = c (1 + h z) with h set so that the weighted variance of the
+    regressor over its weighted mean square is u^2 times the guard's 1e-28.
+    """
+    w = a.se_capgamma_ou**-2
+    z = rng.standard_normal(len(a))
+    var = np.dot(w, (z - np.dot(w, z) / w.sum()) ** 2) / w.sum()
+    gamma_tr = 0.3 * (1.0 + u * 1e-14 / np.sqrt(var) * z)
+    return triples_of(gamma_tr, a.se_gamma_tr, a.gamma_ou, a.se_gamma_ou, a.capgamma_ou,
+                      a.se_capgamma_ou)
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels, k=exponents, u=below | above)
+def test_rescaling_keeps_the_ratio_guard_decision(panel, k, u):
+    _, a = draw_panel(*panel)
+    before = assert_units_do_not_matter(near_ratio_guard(a, u), *k)
     mr_wald = list(Method).index(Method.MR_WALD)
     assert isinstance(before[mr_wald], VanishingDenominator) == (u < 1.0)
 
@@ -138,16 +162,8 @@ def test_rescaling_keeps_the_ratio_guard_decision(panel, k, u):
 @settings(max_examples=15, deadline=None)
 @given(panel=panels, k=exponents, u=below | above)
 def test_rescaling_keeps_the_constant_design_guard_decision(panel, k, u):
-    # gamma_tr = c (1 + h z) with h set so that the weighted variance of the
-    # regressor over its weighted mean square is u^2 times the guard's 1e-28.
     rng, a = draw_panel(*panel)
-    w = a.se_capgamma_ou**-2
-    z = rng.standard_normal(len(a))
-    var = np.dot(w, (z - np.dot(w, z) / w.sum()) ** 2) / w.sum()
-    gamma_tr = 0.3 * (1.0 + u * 1e-14 / np.sqrt(var) * z)
-    near = triples_of(gamma_tr, a.se_gamma_tr, a.gamma_ou, a.se_gamma_ou, a.capgamma_ou,
-                      a.se_capgamma_ou)
-    before = assert_units_do_not_matter(near, *k)
+    before = assert_units_do_not_matter(near_constant_design(rng, a, u), *k)
     egger = list(Method).index(Method.EGGER)
     assert isinstance(before[egger], DegenerateDesign) == (u < 1.0)
 
@@ -164,3 +180,93 @@ def test_rescaling_keeps_the_divw_guard_decision(panel, k, u):
     before = assert_units_do_not_matter(near, *k)
     divw = list(Method).index(Method.DIVW)
     assert isinstance(before[divw], VanishingDenominator) == (u < 1.0)
+
+
+# The bootstrapped methods; estimate_many evaluates them from resample counts.
+BOOTSTRAPPED = [m for m in Method if m is not Method.DIVW]
+
+
+def assert_counts_match_resamples(a: TripleArrays, seed: int, n_boot: int = 60) -> list:
+    """``estimate_many`` against bootstrapping each point estimator on copied resamples.
+
+    Every SE and CI bound must agree to 1e-12 relative, with the same failure
+    count, for both CI kinds and on 1 and 3 threads. Returns the counted
+    outcomes per CI kind.
+    """
+    outcomes = []
+    for ci_kind in CiKind:
+        boot = BootstrapConfig(n_boot=n_boot, seed=seed, ci_kind=ci_kind)
+        counted = estimate_many(BOOTSTRAPPED, a, boot)
+        for x, y in zip(estimate_many(BOOTSTRAPPED, a, boot, workers=3), counted):
+            assert x == y if isinstance(x, MrEstimate) else (type(x), x.details) == (type(y), y.details)
+        booted = [(m, e) for m, e in zip(BOOTSTRAPPED, counted) if not isinstance(e, DegenerateDesign | VanishingDenominator)]
+        copied = bootstrap_many([point_estimator(m) for m, _ in booted], a, boot,
+                                [getattr(e, "beta", 0.0) for _, e in booted])
+        for (m, e), ref in zip(booted, copied):
+            if isinstance(ref, TooManyFailures):
+                assert isinstance(e, TooManyFailures) and e.details == ref.details, m
+                continue
+            assert e.auxiliary["bootstrap_failed"] == ref.n_failed, m
+            assert e.se == pytest.approx(ref.se, rel=1e-12, abs=0.0), m
+            # A bound near zero cancels (point - z se, or a quantile between
+            # values of opposite sign): it is held to 1e-12 of the SE there.
+            bounds = pytest.approx((ref.ci_low, ref.ci_high), rel=1e-12, abs=1e-12 * ref.se)
+            assert (e.ci_low, e.ci_high) == bounds, m
+        outcomes.append(counted)
+    return outcomes
+
+
+@settings(max_examples=15, deadline=None)
+@given(panel=panels)
+def test_counted_bootstrap_matches_copied_resamples(panel):
+    _, a = draw_panel(*panel)
+    assert_counts_match_resamples(a, seed=panel[0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(panel=panels, u=below | above)
+def test_counted_bootstrap_keeps_the_ratio_guard(panel, u):
+    _, a = draw_panel(*panel)
+    assert_counts_match_resamples(near_ratio_guard(a, u), seed=panel[0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(panel=panels, u=below | above)
+def test_counted_bootstrap_keeps_the_constant_design_guard(panel, u):
+    rng, a = draw_panel(*panel)
+    assert_counts_match_resamples(near_constant_design(rng, a, u), seed=panel[0])
+
+
+def test_counted_bootstrap_keeps_the_constant_design_guard_per_replicate():
+    # Near the threshold, resamples fall on both sides of the guard.
+    rng, a = draw_panel(11, 40)
+    (normal, _) = assert_counts_match_resamples(near_constant_design(rng, a, 1.1), seed=3, n_boot=200)
+    failed = [e.auxiliary["bootstrap_failed"] for e in normal if e.method is Method.EGGER]
+    assert 0 < failed[0] < 100
+
+
+def test_counted_bootstrap_keeps_the_flat_l1_midpoint():
+    # Equal dyadic masses w |x| on an even number of SNPs: every resample's
+    # cumulative mass reaches exactly half, so the L1 slope is the midpoint
+    # of two ratios whenever the two middle ratios differ.
+    p = 16
+    rng = np.random.default_rng(5)
+    sign = rng.choice([-1.0, 1.0], p)
+    gamma_ou = sign * rng.permutation(np.arange(1, p + 1)) / 32.0
+    capgamma_ou = rng.permutation(np.arange(-p, p, 2) + 1) / 64.0
+    se = np.full(p, 0.125)
+    a = triples_of(0.5 * sign, se, gamma_ou, se, capgamma_ou, se)
+    assert_counts_match_resamples(a, seed=4, n_boot=100)
+    midpoints = 0
+    for b in range(100):
+        sample = a.take(np.random.default_rng(np.random.SeedSequence(4, spawn_key=(b,))).integers(0, p, p))
+        slope = l1_origin(WeightedPairs(sample.gamma_tr, sample.capgamma_ou, np.ones(p)))
+        midpoints += slope not in set(sample.capgamma_ou / sample.gamma_tr)
+    assert midpoints > 0
+
+
+@pytest.mark.filterwarnings("ignore:dropped 1 SNPs")
+def test_counted_bootstrap_with_a_zero_exposure_association():
+    _, a = draw_panel(8, 30)
+    a.gamma_tr[7] = 0.0
+    assert_counts_match_resamples(a, seed=8, n_boot=100)

@@ -99,6 +99,36 @@ class TestParse:
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_summary_file(bom) == parse_summary_file(plain)
 
+    LATIN1_ROW = (b"snp\teffect_allele\tother_allele\tbeta\tse\n"
+                  b"rs1\tA\tG\t0.05\t0.01\n"
+                  b"rs2\xe9\tA\tG\t0.05\t0.01\n"
+                  b"rs3\tC\tT\t-0.02\t0.02\n")
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_lenient_drops_a_row_that_is_not_utf8(self, tmp_path, bom):
+        f = tmp_path / "latin.tsv"
+        f.write_bytes(bom + self.LATIN1_ROW)
+        with pytest.warns(UserWarning, match="dropped 1 malformed"):
+            records = parse_summary_file(f, lenient=True)
+        assert [r.snp_id for r in records] == ["rs1", "rs3"]
+
+    def test_strict_names_the_line_that_is_not_utf8(self, tmp_path):
+        f = tmp_path / "latin.tsv"
+        f.write_bytes(self.LATIN1_ROW)
+        with pytest.raises(DataError) as exc:
+            parse_summary_file(f)
+        assert exc.value.details == {"path": str(f)}
+        assert f"{f}:3:" in str(exc.value)
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_header_that_is_not_utf8_is_data_error(self, tmp_path, lenient):
+        f = tmp_path / "latin.tsv"
+        f.write_bytes(b"snp\xe9\teffect_allele\tother_allele\tbeta\tse\nrs1\tA\tG\t0.05\t0.01\n")
+        with pytest.raises(DataError) as exc:
+            parse_summary_file(f, lenient=lenient)
+        assert exc.value.details == {"path": str(f)}
+        assert f"{f}:1:" in str(exc.value)
+
     def test_non_utf8_file_is_data_error(self, tmp_path):
         f = tmp_path / "latin.tsv"
         f.write_bytes("snp\teffect_allele\tother_allele\tbeta\tse\nrs1\u00e9\tA\tG\t0.05\t0.01\n"
