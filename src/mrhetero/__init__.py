@@ -56,8 +56,10 @@ from .simulation import (
 from .summary_data import (
     HarmonizationReport,
     HarmonizedTriple,
+    SnpArrays,
     SnpRecord,
     TripleArrays,
+    as_snp_arrays,
     as_triple_arrays,
     harmonize,
     marginal_regression,
@@ -92,11 +94,13 @@ __all__ = [
     "ReplicateTruth",
     "ScenarioConfig",
     "ScenarioSummary",
+    "SnpArrays",
     "SnpRecord",
     "TooManyFailures",
     "TripleArrays",
     "VanishingDenominator",
     "WeightedPairs",
+    "as_snp_arrays",
     "as_triple_arrays",
     "bootstrap",
     "bootstrap_many",

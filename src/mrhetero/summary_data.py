@@ -37,8 +37,6 @@ DEFAULT_COLUMNS = {
     "n": "n",
 }
 
-_PALINDROMIC_PAIRS = ({"A", "T"}, {"C", "G"})
-
 #: The six numeric fields of a harmonized SNP, in row and column order.
 _VALUES = ("gamma_tr", "se_gamma_tr", "gamma_ou", "se_gamma_ou", "capgamma_ou", "se_capgamma_ou")
 
@@ -180,21 +178,71 @@ def as_triple_arrays(triples) -> TripleArrays:
     return TripleArrays([t.snp_id for t in rows], *([getattr(t, name) for t in rows] for name in _VALUES))
 
 
-def parse_summary_file(path, columns: dict | None = None, lenient: bool = False) -> list[SnpRecord]:
-    """Read one tab-delimited summary-statistics file.
+class SnpArrays(Sequence):
+    """One summary file's SNPs as six aligned columns.
+
+    :func:`parse_summary_file` returns it and :func:`harmonize` reads its
+    NumPy columns: ids and upper-case alleles as object arrays, ``beta``
+    and ``se`` as floats, and ``n`` as floats with NaN for a missing sample
+    size. It also behaves as an immutable sequence of :class:`SnpRecord`
+    rows, each built on access.
+    """
+
+    __slots__ = ("snp_ids", "effect_allele", "other_allele", "beta", "se", "n")
+
+    def __init__(self, snp_ids, effect_allele, other_allele, beta, se, n):
+        self.snp_ids = np.asarray(snp_ids, dtype=object)
+        self.effect_allele = np.asarray(effect_allele, dtype=object)
+        self.other_allele = np.asarray(other_allele, dtype=object)
+        self.beta = np.asarray(beta, dtype=float)
+        self.se = np.asarray(se, dtype=float)
+        self.n = np.asarray(n, dtype=float)
+
+    def take(self, indices) -> "SnpArrays":
+        """Row subset, in the order of ``indices``."""
+        return SnpArrays(*(getattr(self, name)[indices] for name in self.__slots__))
+
+    def __len__(self) -> int:
+        return self.beta.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = float(self.n[i])
+        return SnpRecord(self.snp_ids[i], self.effect_allele[i], self.other_allele[i],
+                         float(self.beta[i]), float(self.se[i]), None if math.isnan(n) else int(n))
+
+
+def as_snp_arrays(records) -> SnpArrays:
+    """``records`` as columns: a :class:`SnpArrays` as it is, :class:`SnpRecord` rows copied once."""
+    if isinstance(records, SnpArrays):
+        return records
+    rows = list(records)
+    return SnpArrays(
+        [r.snp_id for r in rows], [r.effect_allele for r in rows], [r.other_allele for r in rows],
+        [r.beta for r in rows], [r.se for r in rows], [math.nan if r.n is None else r.n for r in rows],
+    )
+
+
+def parse_summary_file(path, columns: dict | None = None, lenient: bool = False) -> SnpArrays:
+    """Read one tab-delimited summary-statistics file into a :class:`SnpArrays`.
 
     Parameters
     ----------
     path : str or Path
         UTF-8 TSV file with one header row, which may start with a
-        byte-order mark.
+        byte-order mark. Lines end in LF, CRLF or CR. A cell may be quoted
+        as the csv module reads it, but its quotes must close on the same
+        line; blank lines are skipped.
     columns : dict, optional
         Overrides for :data:`DEFAULT_COLUMNS` (logical name -> header name).
-        The ``n`` column is optional; all others are required.
+        The ``n`` column is optional; all others are required. An ``n``
+        cell that is empty, ``NA``, ``NaN`` or ``.`` (in any case) is a
+        missing sample size.
     lenient : bool
-        When true, rows with unparseable fields or bytes that are not UTF-8
-        are counted and dropped (a warning reports the count) instead of
-        raising.
+        When true, rows with unparseable fields, unclosed quotes or bytes
+        that are not UTF-8 are counted and dropped (a warning reports the
+        count) instead of raising.
 
     Raises
     ------
@@ -202,24 +250,27 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     DataError
         The header, or in strict mode a row, is not UTF-8 text; the
         message names the line.
+
+    In strict mode the first problem in file order decides the error.
     """
     colmap = {**DEFAULT_COLUMNS, **(columns or {})}
     # ``utf-8-sig`` drops a byte-order mark that would otherwise prefix the
     # first header name. Bytes that are not UTF-8 decode to lone surrogates,
     # so that the row holding them, not the whole file, is rejected.
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        records, n_dropped = _read_records(csv.reader(fh, delimiter="\t"), colmap, lenient, path)
-    if n_dropped:
-        warnings.warn(f"dropped {n_dropped} malformed rows from {path}", stacklevel=2)
-    return records
-
-
-def _read_records(reader, colmap, lenient, path) -> tuple[list[SnpRecord], int]:
-    header = next(reader, None)
-    if header is None:
+        text = fh.read()
+    if not text:
         raise MalformedRow(1, "file has no header row")
-    if not _is_utf8(header):
-        raise DataError(f"{path}:{reader.line_num}: header is not UTF-8 text", path=str(path))
+    # Physical lines, split where iterating the file would split them; a
+    # final line break ends the last line rather than starting an empty one.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    if not _is_utf8(lines[0]):
+        raise DataError(f"{path}:1: header is not UTF-8 text", path=str(path))
+    header = _cells(lines[0])
+    if header is None:
+        raise MalformedRow(1, _UNCLOSED)
     names = [h.strip() for h in header]
     positions = {}
     for field in ("snp", "effect_allele", "other_allele", "beta", "se"):
@@ -229,34 +280,99 @@ def _read_records(reader, colmap, lenient, path) -> tuple[list[SnpRecord], int]:
             raise MissingColumn(colmap[field]) from None
     n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
 
-    records: list[SnpRecord] = []
-    seen: set[str] = set()
-    n_dropped = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if not _is_utf8(row):
-            if lenient:
-                n_dropped += 1
-                continue
-            raise DataError(f"{path}:{reader.line_num}: row is not UTF-8 text", path=str(path))
-        try:
-            record = _row_to_record(row, positions, n_pos)
-        except (ValueError, IndexError, OverflowError) as exc:
-            if lenient:
-                n_dropped += 1
-                continue
-            raise MalformedRow(lineno, str(exc)) from exc
-        if record.snp_id in seen:
-            raise DuplicateSnpId(record.snp_id)
-        seen.add(record.snp_id)
-        records.append(record)
-    return records, n_dropped
+    body = lines[1:]
+    rows = list(map(_cells, body)) if '"' in text else [line.split("\t") for line in body]
+    table, bad = _columns(rows, positions, n_pos)
+    if not _is_utf8(text):
+        bad |= [not _is_utf8(line) for line in body]
+    # A blank row (every cell whitespace) is skipped, not dropped. Each one
+    # breaks a rule, so only the rejected rows need looking at.
+    blank = np.zeros_like(bad)
+    for i in np.flatnonzero(bad):
+        blank[i] = rows[i] is not None and not "".join(rows[i]).strip()
+    bad &= ~blank
+    # Strict mode reads up to its first bad row.
+    first = len(bad) if lenient or not bad.any() else int(np.argmax(bad))
+    kept = np.flatnonzero(~(bad | blank)[:first])
+    repeat = _first_repeat(table.snp_ids[kept])
+    if repeat is not None:
+        raise DuplicateSnpId(table.snp_ids[kept[repeat]])
+    if first < len(bad):
+        _reject(path, first + 2, body[first], rows[first], positions, n_pos)
+    if bad.any():
+        warnings.warn(f"dropped {int(bad.sum())} malformed rows from {path}", stacklevel=2)
+    return table.take(kept) if len(kept) < len(bad) else table
 
 
-def _is_utf8(row) -> bool:
-    """False when a cell holds a surrogate that stands for a byte that was not UTF-8."""
-    text = "".join(row)
+_UNCLOSED = "a quoted cell does not close on its line"
+
+#: ``n`` cells meaning "no sample size", compared after stripping and lower-casing.
+_MISSING_N = frozenset(("", "na", "nan", "."))
+
+
+def _cells(line: str) -> list[str] | None:
+    """The cells of one physical line, read as the csv module reads a tab-delimited
+    line; None when a quote opened on the line does not close on it."""
+    if '"' not in line:
+        return line.split("\t") if line else []
+    # An unclosed quote runs on into the next line: offer an empty one, and
+    # the reader returns a single record.
+    records = list(csv.reader((line, ""), delimiter="\t"))
+    return records[0] if len(records) == 2 else None
+
+
+def _columns(rows, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
+    """Every row as a :class:`SnpArrays`, and the mask of rows that break a
+    :class:`SnpRecord` rule or hold an unclosed quote (``None``); the
+    masked rows' values are placeholders."""
+    bad = np.array([row is None for row in rows], dtype=bool)
+    if bad.any():
+        rows = [[] if row is None else row for row in rows]
+    width = max([*positions.values(), -1 if n_pos is None else n_pos]) + 1
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    bad |= lengths <= max(positions.values())
+    if not (lengths >= width).all():
+        # Missing cells read as empty: a missing sample size, or a row
+        # already marked short.
+        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+    cols = list(zip(*rows)) or [()] * width
+    ids = np.array(list(map(str.strip, cols[positions["snp"]])), dtype=object)
+    effect, other = (np.array(list(map(str.upper, map(str.strip, cols[positions[f]]))), dtype=object)
+                     for f in ("effect_allele", "other_allele"))
+    beta = _floats(cols[positions["beta"]])
+    se = _floats(cols[positions["se"]])
+    n = np.full(len(rows), math.nan)
+    if n_pos is not None:
+        n = _floats(cols[n_pos])
+        valid = (n >= 1) & (n < math.inf)
+        # ``float`` gives NaN or fails on the missing-value tokens and on
+        # nothing else that is valid.
+        for i in np.flatnonzero(np.isnan(n)):
+            valid[i] = cols[n_pos][i].strip().lower() in _MISSING_N
+        bad |= ~valid
+        n = np.trunc(n)
+    bad |= (ids == "") | (effect == "") | (other == "") | (effect == other)
+    bad |= ~(np.isfinite(beta) & (se > 0) & (se < math.inf))
+    return SnpArrays(ids, effect, other, beta, se, n), bad
+
+
+def _floats(cells) -> np.ndarray:
+    """``float`` of each cell, NaN where it raises."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(c) for c in cells], dtype=float)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds a surrogate that stands for a byte that was not UTF-8."""
     if text.isascii():
         return True
     try:
@@ -266,11 +382,35 @@ def _is_utf8(row) -> bool:
     return True
 
 
+def _first_repeat(ids) -> int | None:
+    """Position of the first id that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for i, sid in enumerate(ids):
+        if sid in seen:
+            return i
+        seen.add(sid)
+
+
+def _reject(path, lineno, line, row, positions, n_pos):
+    """Raise the error of the first rejected row: the one-row rules name its reason."""
+    if not _is_utf8(line):
+        raise DataError(f"{path}:{lineno}: row is not UTF-8 text", path=str(path))
+    if row is None:
+        raise MalformedRow(lineno, _UNCLOSED)
+    try:
+        _row_to_record(row, positions, n_pos)
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise MalformedRow(lineno, str(exc)) from exc
+    raise AssertionError(f"line {lineno} of {path} passes the row rules but not the column rules")
+
+
 def _row_to_record(row, positions, n_pos) -> SnpRecord:
     n = None
     if n_pos is not None and n_pos < len(row):
         raw = row[n_pos].strip()
-        if raw not in ("", "NA", "na", "nan", "."):
+        if raw.lower() not in _MISSING_N:
             n = int(float(raw))
     return SnpRecord(
         snp_id=row[positions["snp"]].strip(),
@@ -282,26 +422,23 @@ def _row_to_record(row, positions, n_pos) -> SnpRecord:
     )
 
 
-def _index_unique(records: Sequence[SnpRecord]) -> dict[str, SnpRecord]:
-    out: dict[str, SnpRecord] = {}
-    for rec in records:
-        if rec.snp_id in out:
-            raise DuplicateSnpId(rec.snp_id)
-        out[rec.snp_id] = rec
-    return out
+#: Treatment allele pairs whose strand cannot be read from the betas.
+_PALINDROMIC_PAIRS = (("A", "T"), ("T", "A"), ("C", "G"), ("G", "C"))
 
 
-def _is_palindromic(rec: SnpRecord) -> bool:
-    return {rec.effect_allele, rec.other_allele} in _PALINDROMIC_PAIRS
+def _allele_signs(effect, other, at_effect, at_other) -> np.ndarray:
+    """+1 where the alleles ``at_*`` match the anchor's order, -1 where reversed, 0 otherwise."""
+    same = (at_effect == effect) & (at_other == other)
+    reversed_ = (at_effect == other) & (at_other == effect)
+    return np.where(same, 1.0, np.where(reversed_, -1.0, 0.0))
 
 
-def _orientation(anchor: SnpRecord, other: SnpRecord) -> int | None:
-    """+1 if alleles match the anchor's order, -1 if reversed, None otherwise."""
-    if other.effect_allele == anchor.effect_allele and other.other_allele == anchor.other_allele:
-        return 1
-    if other.effect_allele == anchor.other_allele and other.other_allele == anchor.effect_allele:
-        return -1
-    return None
+def _id_index(table: SnpArrays) -> dict:
+    """Id -> row of ``table``; raises :class:`DuplicateSnpId` on the first repeated id."""
+    index = dict(zip(table.snp_ids.tolist(), range(len(table))))
+    if len(index) < len(table):
+        raise DuplicateSnpId(table.snp_ids[_first_repeat(table.snp_ids)])
+    return index
 
 
 def harmonize(
@@ -312,6 +449,7 @@ def harmonize(
 ) -> tuple[TripleArrays, HarmonizationReport]:
     """Align the three inputs on shared SNPs and a common effect allele.
 
+    Each input is a :class:`SnpArrays` or a sequence of :class:`SnpRecord`.
     The treatment file fixes the allele orientation. Records from the two
     outcome-cohort files with reversed allele order get their beta sign
     flipped; records matching neither orientation drop the SNP. Palindromic
@@ -324,39 +462,43 @@ def harmonize(
     """
     if policy not in ("drop", "keep"):
         raise ValueError(f"palindromic policy must be 'drop' or 'keep', got {policy!r}")
-    tr_ids = _index_unique(treatment)
-    oug = _index_unique(outcome_exposure)
-    ouG = _index_unique(outcome)
-    union = set(tr_ids) | set(oug) | set(ouG)
-    shared = set(tr_ids) & set(oug) & set(ouG)
+    tr, g, G = (as_snp_arrays(x) for x in (treatment, outcome_exposure, outcome))
+    # ``het-test`` passes the outcome-exposure table again as the outcome;
+    # it is indexed and joined once.
+    index_tr, index_g = _id_index(tr), _id_index(g)
+    index_G = index_g if G is g else _id_index(G)
+    union = index_tr.keys() | index_g.keys() | index_G.keys()
+    # Treatment rows (in file order) present in both outcome-cohort files,
+    # and where each outcome-cohort file holds them.
+    ids = tr.snp_ids.tolist()
+    at_g = np.array([index_g.get(sid, -1) for sid in ids], dtype=np.intp)
+    at_G = at_g if G is g else np.array([index_G.get(sid, -1) for sid in ids], dtype=np.intp)
+    rows = np.flatnonzero((at_g >= 0) & (at_G >= 0))
+    at_g, at_G = at_g[rows], at_G[rows]
+    effect, other = tr.effect_allele[rows], tr.other_allele[rows]
 
-    rows: list[tuple] = []
-    flipped = mismatched = palindromic = 0
-    for rec in treatment:  # treatment-file order keeps output deterministic
-        sid = rec.snp_id
-        if sid not in shared:
-            continue
-        if policy == "drop" and _is_palindromic(rec):
-            palindromic += 1
-            continue
-        sign_g = _orientation(rec, oug[sid])
-        sign_G = _orientation(rec, ouG[sid])
-        if sign_g is None or sign_G is None:
-            mismatched += 1
-            continue
-        if sign_g < 0 or sign_G < 0:
-            flipped += 1
-        g, G = oug[sid], ouG[sid]
-        rows.append((sid, rec.beta, rec.se, sign_g * g.beta, g.se, sign_G * G.beta, G.se))
-    if not rows:
+    palindromic = np.zeros(len(rows), dtype=bool)
+    if policy == "drop":
+        for a, b in _PALINDROMIC_PAIRS:
+            palindromic |= (effect == a) & (other == b)
+    sign_g = _allele_signs(effect, other, g.effect_allele[at_g], g.other_allele[at_g])
+    sign_G = _allele_signs(effect, other, G.effect_allele[at_G], G.other_allele[at_G])
+    mismatched = ~palindromic & ((sign_g == 0) | (sign_G == 0))
+    kept = ~palindromic & ~mismatched
+    if not kept.any():
         raise EmptyIntersection()
-    triples = TripleArrays.checked(*zip(*rows))
+    sign_g, sign_G, at_g, at_G = sign_g[kept], sign_G[kept], at_g[kept], at_G[kept]
+    k = rows[kept]
+    triples = TripleArrays.checked(
+        tr.snp_ids[k], tr.beta[k], tr.se[k],
+        sign_g * g.beta[at_g], g.se[at_g], sign_G * G.beta[at_G], G.se[at_G],
+    )
     report = HarmonizationReport(
         kept=len(triples),
-        flipped=flipped,
-        dropped_mismatch=mismatched,
-        dropped_palindromic=palindromic,
-        dropped_missing=len(union) - len(shared),
+        flipped=int(((sign_g < 0) | (sign_G < 0)).sum()),
+        dropped_mismatch=int(mismatched.sum()),
+        dropped_palindromic=int(palindromic.sum()),
+        dropped_missing=len(union) - len(rows),
     )
     return triples, report
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import HarmonizedTriple, Method
+from mrhetero import HarmonizedTriple, Method, SnpRecord
 from mrhetero.cli import _parse_methods, main
 
 BETA0 = -0.3
@@ -153,6 +153,21 @@ class TestAnalyze:
             raise RuntimeError("analyze built a HarmonizedTriple row")
 
         monkeypatch.setattr(HarmonizedTriple, "__post_init__", no_rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
+
+    def test_no_snp_records_on_the_analyze_path(self, tmp_path, capsys, monkeypatch):
+        tr, oug, ouy = write_inputs(tmp_path, p=30, shift_ou=0.5)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy,
+                "--methods", "MrWald,Egger", "--boot", "50", "--seed", "3"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def no_records(self):
+            raise RuntimeError("analyze built a SnpRecord")
+
+        monkeypatch.setattr(SnpRecord, "__post_init__", no_records)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == expected

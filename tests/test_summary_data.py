@@ -97,7 +97,50 @@ class TestParse:
         plain = write_tsv(tmp_path / "plain.tsv", rows)
         bom = tmp_path / "bom.tsv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert parse_summary_file(bom) == parse_summary_file(plain)
+        assert list(parse_summary_file(bom)) == list(parse_summary_file(plain))
+
+    @pytest.mark.parametrize("token", ["", "NA", "na", "Na", "nan", "NaN", "NAN", ".", " NaN "])
+    def test_missing_sample_size_tokens_ignore_case(self, tmp_path, token):
+        f = write_tsv(tmp_path / "a.tsv", [f"rs1\tA\tG\t0.05\t0.01\t{token}"])
+        (rec,) = parse_summary_file(f)
+        assert rec == SnpRecord("rs1", "A", "G", 0.05, 0.01, None)
+
+    @pytest.mark.parametrize("n", ["+nan", "-NaN", "NaNa"])
+    def test_nan_spellings_that_are_not_tokens_are_malformed(self, tmp_path, n):
+        f = write_tsv(tmp_path / "a.tsv", ["rs1\tA\tG\t0.05\t0.01\t1", f"rs2\tA\tG\t0.05\t0.01\t{n}"])
+        with pytest.raises(MalformedRow) as exc:
+            parse_summary_file(f)
+        assert exc.value.details["line"] == 3
+
+    STRAY_QUOTE = ["rs1\tA\tG\t0.1\t0.01\t100", '"rs2\tA\tG\t0.1\t0.01\t100',
+                   "rs3\tA\tG\t0.1\t0.01\t100", 'rs4"\tA\tG\t0.1\t0.01\t100',
+                   "rs5\tA\tG\t0.1\t0.01\t100"]
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_stray_quote_is_a_malformed_row_at_its_line(self, tmp_path, closed):
+        rows = self.STRAY_QUOTE if closed else [r.replace('"', "") if r.startswith("rs4") else r
+                                                for r in self.STRAY_QUOTE]
+        f = write_tsv(tmp_path / "a.tsv", rows)
+        with pytest.raises(MalformedRow) as exc:
+            parse_summary_file(f)
+        assert exc.value.details["line"] == 3
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_lenient_drops_only_the_line_with_a_stray_quote(self, tmp_path, closed):
+        rows = self.STRAY_QUOTE if closed else [r.replace('"', "") if r.startswith("rs4") else r
+                                                for r in self.STRAY_QUOTE]
+        f = write_tsv(tmp_path / "a.tsv", rows)
+        with pytest.warns(UserWarning, match="dropped 1 malformed"):
+            records = parse_summary_file(f, lenient=True)
+        assert [r.snp_id for r in records] == ["rs1", "rs3", 'rs4"' if closed else "rs4", "rs5"]
+
+    def test_fully_quoted_cells_read_as_plain_ones(self, tmp_path):
+        rows = ["rs1\tA\tG\t0.05\t0.01\t1000", "rs2\tC\tT\t-0.02\t0.02\tNA"]
+        plain = write_tsv(tmp_path / "plain.tsv", rows)
+        quoted = write_tsv(tmp_path / "quoted.tsv",
+                           ["\t".join(f'"{c}"' for c in r.split("\t")) for r in rows],
+                           header='"snp"\t"effect_allele"\t"other_allele"\t"beta"\t"se"\t"n"')
+        assert list(parse_summary_file(quoted)) == list(parse_summary_file(plain))
 
     LATIN1_ROW = (b"snp\teffect_allele\tother_allele\tbeta\tse\n"
                   b"rs1\tA\tG\t0.05\t0.01\n"
