@@ -18,10 +18,10 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateDesign, DegenerateInput, TooManyFailures, VanishingDenominator
 from .summary_data import as_triple_arrays
@@ -238,7 +238,9 @@ def z_quantile(level: float) -> float:
     """Two-sided standard-normal critical value for the given level."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must be strictly between 0 and 1")
-    return float(ndtri(0.5 * (1.0 + level)))
+    p = 0.5 * (1.0 + level)
+    # p rounds to 1.0 for levels within an ulp of 1, where inv_cdf raises.
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def normal_ci(point: float, se: float, level: float) -> tuple[float, float]:

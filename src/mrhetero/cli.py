@@ -91,11 +91,11 @@ def _parse_g(raw: str) -> GFunction:
     if raw == "sine":
         return GFunction.sinusoid(0.2, 5.0 * math.pi)
     if raw.startswith("table:"):
-        return GFunction.tabulated(_load_knots(raw[len("table:"):]))
+        return _load_g_table(raw[len("table:"):])
     raise DataError(f"unknown g specification {raw!r}", g=raw)
 
 
-def _load_knots(path: str) -> list[tuple[float, float]]:
+def _load_g_table(path: str) -> GFunction:
     knots = []
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -105,13 +105,13 @@ def _load_knots(path: str) -> list[tuple[float, float]]:
                     continue
                 parts = line.replace("\t", " ").split()
                 if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected two numeric columns")
+                    raise DataError(f"{path}:{lineno}: expected two numeric columns", path=path)
                 knots.append((float(parts[0]), float(parts[1])))
+        if not knots:
+            raise DataError(f"g table file {path} contains no knots", path=path)
+        return GFunction.tabulated(knots)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}", path=path) from None
-    if not knots:
-        raise DataError(f"g table file {path} contains no knots", path=path)
-    return knots
 
 
 def _round_doc(obj):

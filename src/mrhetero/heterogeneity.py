@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .summary_data import as_triple_arrays
 
@@ -57,4 +56,7 @@ def chisq_sf(x: float, df: int) -> float:
         raise ValueError("x must be nonnegative")
     if not (isinstance(df, (int, np.integer)) and df >= 1):
         raise ValueError("df must be a positive integer")
+    # Imported here so that commands without a het test never load SciPy.
+    from scipy.special import chdtrc
+
     return float(chdtrc(df, x))

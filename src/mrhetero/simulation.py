@@ -14,6 +14,7 @@ of the output.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -65,6 +66,8 @@ class GFunction:
         if self.kind == "tabulated":
             if len(self.knots) < 1:
                 raise ValueError("tabulated g needs at least one knot")
+            if not all(math.isfinite(v) for knot in self.knots for v in knot):
+                raise ValueError("tabulated knots must be finite")
             xs = [x for x, _ in self.knots]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("tabulated knots must be strictly increasing in x")
@@ -215,12 +218,19 @@ class ScenarioConfig:
             raise ValueError("n must be at least 3 to identify the marginal regressions")
         if not (0.0 < self.maf < 1.0):
             raise ValueError("maf must be strictly between 0 and 1")
+        for name in ("beta0", "gamma_tr_low", "gamma_tr_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.gamma_tr_low < self.gamma_tr_high:
             raise ValueError("gamma_tr_low must be below gamma_tr_high")
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if self.pleiotropy.n_contaminated > self.p:
+            raise ValueError(
+                f"n_contaminated ({self.pleiotropy.n_contaminated}) must not exceed p ({self.p})"
+            )
 
     def to_json_dict(self) -> dict:
         return {

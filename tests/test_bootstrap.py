@@ -1,4 +1,5 @@
 import importlib
+import math
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from mrhetero import (
     bootstrap,
     bootstrap_many,
 )
-from mrhetero.bootstrap import stream_seed
+from mrhetero.bootstrap import stream_seed, z_quantile
 from mrhetero.summary_data import as_triple_arrays
 
 from conftest import random_triples
@@ -229,3 +230,16 @@ class TestStreamSeed:
         assert a == stream_seed(123, 0)
         assert a != stream_seed(123, 1)
         assert stream_seed(123, 0, domain=1) != a
+
+
+class TestZQuantile:
+    @pytest.mark.parametrize(
+        "level", [0.8, 0.9, 0.95, 0.99] + [1.0 - 10.0**-k for k in range(1, 16)])
+    def test_matches_scipy_ndtri(self, level):
+        from scipy.special import ndtri
+
+        assert z_quantile(level) == pytest.approx(float(ndtri(0.5 * (1.0 + level))), rel=1e-14)
+
+    def test_level_just_below_one_gives_infinity(self):
+        # 0.5 * (1 + level) rounds to 1.0 here, whose normal quantile is +inf
+        assert z_quantile(math.nextafter(1.0, 0.0)) == math.inf

@@ -412,6 +412,53 @@ class TestSimulate:
                         "--seed", "1")[:2] for path in (plain, bom)]
         assert outs[0][0] == 0 and outs[1] == outs[0]
 
+    @pytest.mark.parametrize("text", [
+        "0.1\t0.0\n0.0\t0.2\n",  # decreasing
+        "0.0\t0.0\n0.0\t0.2\n",  # repeated x
+        "0.0\tnan\n0.1\t0.2\n",
+        "0.0\t0.0\ninf\t0.2\n",
+        "-inf\t0.0\n0.1\t0.2\n",
+    ])
+    def test_g_table_bad_knots_exit_2_naming_the_file(self, tmp_path, capsys, text):
+        table = tmp_path / "g.tsv"
+        table.write_text(text)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "i", "--g", f"table:{table}",
+            "--replicates", "2", "--p", "8", "--n", "400", "--boot", "20", "--seed", "1")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert record["path"] == str(table) and str(table) in record["message"]
+        assert out == ""
+
+    @pytest.mark.parametrize("knots", [[[0.1, 0.0], [0.0, 0.2]], [[0.0, float("nan")]]])
+    def test_config_bad_knots_exit_2(self, tmp_path, capsys, knots):
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps({"g": {"kind": "tabulated", "knots": knots}}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert json.loads(err)["error"] == "DataError"
+        assert out == ""
+
+    def test_more_contaminated_snps_than_snps_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "iv", "--p", "3",
+                                 "--replicates", "1", "--n", "300", "--boot", "10")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert "n_contaminated" in record["message"] and "p" in record["message"]
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_beta0_exit_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "i", f"--beta0={value}",
+                                 "--replicates", "2", "--p", "5", "--n", "300", "--boot", "10")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert "beta0 must be finite" in record["message"]
+        assert out == ""
+
     def test_scenario_v_defaults_to_large_cohort(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "v", "--replicates", "2", "--p", "6",
@@ -522,10 +569,27 @@ def test_method_spellings(spelling, method):
     assert _parse_methods(spelling.upper()) == [method]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone takes most of a second to import
-    code = "import sys, mrhetero.cli; print('scipy.stats' in sys.modules)"
+def _scipy_loaded_after(statement: str) -> str:
+    code = f"import sys\n{statement}\nprint('scipy' in sys.modules, file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # Importing SciPy costs about twice as much as the rest of the start-up;
+    # only the het test needs it, for the chi-square tail.
+    assert _scipy_loaded_after("import mrhetero.cli") == "False"
+    assert _scipy_loaded_after(
+        "from mrhetero.cli import main\n"
+        "main(['simulate', '--scenario', 'i', '--replicates', '2', '--p', '5', '--n', '300',"
+        " '--boot', '10', '--methods', 'MrWald,Divw'])") == "False"
+
+
+def test_het_test_loads_scipy(tmp_path):
+    tr, oug, _ = write_inputs(tmp_path)
+    assert _scipy_loaded_after(
+        "from mrhetero.cli import main\n"
+        f"assert main(['het-test', '--treatment', {tr!r}, '--outcome-exposure', {oug!r}]) == 0"
+    ) == "True"

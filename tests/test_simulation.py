@@ -52,6 +52,11 @@ class TestGFunction:
         with pytest.raises(ValueError):
             GFunction.tabulated([(0.0, 1.0), (0.0, 2.0)])
 
+    @pytest.mark.parametrize("knots", [[(0.0, math.nan)], [(math.inf, 1.0)], [(0.0, 1.0), (-math.inf, 2.0)]])
+    def test_tabulated_knots_must_be_finite(self, knots):
+        with pytest.raises(ValueError, match="finite"):
+            GFunction.tabulated(knots)
+
     def test_json_round_trip(self):
         for g in (GFunction.identity(), GFunction.affine(0.1, 0.5),
                   GFunction.sinusoid(0.2, 15.7), GFunction.tabulated([(0, 1), (1, 2)])):
@@ -66,6 +71,20 @@ class TestConfig:
             ScenarioConfig(gamma_tr_low=0.2, gamma_tr_high=0.1)
         with pytest.raises(ValueError):
             Pleiotropy(kind="weird")
+
+    def test_more_contaminated_snps_than_snps_rejected(self):
+        with pytest.raises(ValueError, match=r"n_contaminated \(5\) must not exceed p \(3\)"):
+            ScenarioConfig(p=3, pleiotropy=Pleiotropy.idiosyncratic_multi(k=5))
+        ScenarioConfig(p=5, pleiotropy=Pleiotropy.idiosyncratic_multi(k=5))
+
+    @pytest.mark.parametrize("key", ["beta0", "gamma_tr_low", "gamma_tr_high"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_effects_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ScenarioConfig(**{key: value})
+
+    def test_null_effect_allowed(self):
+        assert ScenarioConfig(beta0=0.0).beta0 == 0.0
 
     def test_json_round_trip(self):
         cfg = ScenarioConfig(p=10, n=100, g=GFunction.affine(0.1, 0.5),
