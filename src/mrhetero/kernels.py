@@ -9,7 +9,8 @@ bootstrap resamples at once. A resample is fully described by how many
 copies of each SNP it holds, so every kernel is a function of count-weighted
 per-SNP terms: the least-squares fits read count-weighted sums (one matrix
 product per fit for a chunk of resamples), and the medians take cumulative
-sums over ratios sorted once per panel, with the counts as multiplicities.
+sums over ratios sorted once per panel, with the counts as multiplicities,
+within a window around the panel's half-mass point.
 Each guard is the same predicate in both forms and is applied per resample.
 """
 
@@ -27,6 +28,10 @@ from .summary_data import as_triple_arrays
 # Relative guard for ratio denominators; chosen scale-free so that unit
 # changes in the inputs cannot alter which inputs are rejected.
 REL_DENOM_TOL = 1e-12
+
+# Half-width of the counted medians' window around the panel's half-mass
+# point, in units of sqrt(sum m^2) (see _half_mass_window).
+_WINDOW = 8.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def _weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
 def _sorted_weighted_median(v: np.ndarray, cum: np.ndarray) -> float:
     """:func:`_weighted_median` of ascending ``v`` from its cumulative masses ``cum``.
 
-    Points of zero mass (SNPs a resample does not hold) are skipped.
+    Points of zero mass are skipped.
     """
     half = 0.5 * cum[-1]
     k = int(np.searchsorted(cum, half))
@@ -189,7 +194,9 @@ class CountedFit(NamedTuple):
     reduce: Callable
 
     def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.reduce(counts, counts @ self.terms)
+        # np.dot, not @: for these shapes matmul holds the GIL and np.dot
+        # releases it, so threaded chunks overlap. The two agree bitwise.
+        return self.reduce(counts, np.dot(counts, self.terms))
 
 
 def counted_wls_origin(d: WeightedPairs) -> CountedFit:
@@ -229,57 +236,130 @@ def counted_wls_intercept(d: WeightedPairs) -> CountedFit:
 
 def counted_l1_origin(d: WeightedPairs) -> CountedFit:
     """:func:`l1_origin` as a :class:`CountedFit`."""
-    return _counted_median(*_l1_terms(d), lambda v, m, cum: _sorted_weighted_median(v, cum))
+    return _counted_median(*_l1_terms(d), _l1_medians)
 
 
 def counted_weighted_median_ratio(triples) -> CountedFit:
     """:func:`weighted_median_ratio` as a :class:`CountedFit`, without the warning."""
-    return _counted_median(*_median_terms(as_triple_arrays(triples)), _interpolated_median)
+    return _counted_median(*_median_terms(as_triple_arrays(triples)), _interpolated_medians)
 
 
-def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, median) -> CountedFit:
-    """``median(v, m, cum)`` of the ``used`` SNPs' ``values`` and ``masses``, sorted once.
+def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, medians) -> CountedFit:
+    """``medians`` of the ``used`` SNPs' ``values`` and ``masses``, sorted once.
 
-    Each resample reads the cumulative count-weighted masses in that order; a
-    resample holding no used SNP fails.
+    Each resample reads its cumulative count-weighted masses only over a
+    window of sorted positions around the panel's half-mass point (see
+    :func:`_half_mass_window`); two product columns give its mass before
+    and after the window. A row whose crossing or neighbours fall outside
+    is read again over the whole panel, where the masses before and after
+    are zero and the cumulative sums are the serial ones. A resample holding
+    no used SNP fails.
     """
     order = np.argsort(values, kind="stable")
-    snps, v, m = np.flatnonzero(used)[order], values[order], masses[order]
+    snps = np.flatnonzero(used)[order]
+    # One leading pad entry, so that entry c of v[lo:hi + 1] belongs to
+    # column c of the window's cumulative masses, whose column 0 is the mass
+    # before the window. The pad itself is never read.
+    v, m = np.r_[0.0, values[order]], np.r_[0.0, masses[order]]
+    p = len(snps)
+    lo, hi = _half_mass_window(m[1:])
+    outside = np.zeros((len(used), 2))
+    outside[snps[:lo], 0] = m[1:lo + 1]
+    outside[snps[hi:], 1] = m[hi + 1:]
+
+    def window(counts, lo, hi, before, after):
+        cum = np.empty((len(counts), hi - lo + 1))
+        cum[:, 0] = before
+        np.multiply(np.take(counts, snps[lo:hi], axis=1), m[lo + 1:hi + 1], out=cum[:, 1:])
+        np.cumsum(cum, axis=1, out=cum)
+        return medians(v[lo:hi + 1], m[lo:hi + 1], cum, cum[:, -1] + after)
 
     def reduce(counts, sums):
         ok = sums[:, 0] > 0.0
-        cum = np.take(counts, snps, axis=1)
-        cum *= m
-        np.cumsum(cum, axis=1, out=cum)
-        return (np.array([median(v, m, cum[r]) if ok[r] else 0.0 for r in range(len(counts))]),
-                ok, np.ones(len(counts), dtype=bool))
+        beta = np.zeros(len(counts))
+        if p:
+            beta, resolved = window(counts, lo, hi, sums[:, 1], sums[:, 2])
+            wide = np.flatnonzero(ok & ~resolved)
+            if len(wide):
+                zero = np.zeros(len(wide))
+                beta[wide] = window(counts[wide], 0, p, zero, zero)[0]
+        return np.where(ok, beta, 0.0), ok, np.ones(len(counts), dtype=bool)
 
-    return CountedFit(used.astype(float)[:, None], reduce)
+    return CountedFit(np.column_stack((used.astype(float), outside)), reduce)
 
 
-def _interpolated_median(v: np.ndarray, w: np.ndarray, cum: np.ndarray) -> float:
-    """``weighted_median_ratio``'s ``np.interp(0.5, s, r)`` for one resample.
+def _half_mass_window(m: np.ndarray) -> tuple[int, int]:
+    """Sorted positions ``[lo, hi)`` around the half-mass point of the masses ``m``.
 
-    ``v`` ascending, ``w`` their weights and ``cum`` the cumulative weights
-    of the copies the resample holds. Copies of one SNP share its ratio, so
-    the interpolation only reads the positions of the first and the last
-    copy of the SNP where the weight crosses one half and of its held
-    neighbour on the side of the crossing.
+    From the first position whose cumulative mass reaches half the total
+    less ``_WINDOW * sqrt(sum m^2)`` to the first that reaches half the
+    total plus it. A resample's mass below a position differs from the
+    panel's by about ``sqrt(sum m^2) / 2``, so all but vanishingly rare
+    resamples cross one half inside.
     """
-    total = cum[-1]
-    j = int(np.searchsorted(cum, 0.5 * total))
-    before = float(cum[j - 1]) if j else 0.0
-    first = (before + 0.5 * w[j]) / total
-    last = (cum[j] - 0.5 * w[j]) / total
-    if first > 0.5 and before > 0.0:
-        i = int(np.searchsorted(cum, before))  # the held SNP before j
-        x0, y0, x1, y1 = (before - 0.5 * w[i]) / total, v[i], first, v[j]
-    elif last < 0.5 and cum[j] < total:
-        k = int(np.searchsorted(cum, cum[j], side="right"))  # the held SNP after j
-        x0, y0, x1, y1 = last, v[j], (cum[j] + 0.5 * w[k]) / total, v[k]
-    else:
-        return float(v[j])
-    return float((y1 - y0) / (x1 - x0) * (0.5 - x0) + y0)
+    if not len(m):
+        return 0, 0
+    cum = np.cumsum(m)
+    half, reach = 0.5 * cum[-1], _WINDOW * float(np.sqrt(np.dot(m, m)))
+    lo = int(np.searchsorted(cum, half - reach))
+    return lo, min(int(np.searchsorted(cum, half + reach)) + 1, len(m))
+
+
+def _search(cum: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
+    """``np.searchsorted`` of each row of ascending ``cum`` for that row's ``x``."""
+    return np.count_nonzero(cum < x[:, None] if side == "left" else cum <= x[:, None], axis=1)
+
+
+def _l1_medians(v: np.ndarray, m: np.ndarray, cum: np.ndarray, total: np.ndarray):
+    """:func:`_sorted_weighted_median` of each resample, and whether its window resolves it.
+
+    Column ``c`` of ``cum`` and entry ``c`` of the ascending ``v`` and the
+    masses ``m`` belong to one sorted position: column 0 to the last before
+    the window, so it holds the resample's mass before the window, and the
+    rest to the window. ``total`` is each resample's total mass. A row is
+    resolved when its crossing and flat-minimum partner lie in the window.
+    """
+    last = cum.shape[1] - 1
+    half = 0.5 * total
+    k, after = _search(cum, half), _search(cum, half, "right")
+    resolved = (k >= 1) & (k <= last)
+    k = np.clip(k, 1, last)
+    flat = cum[np.arange(len(cum)), k] == half
+    partner = flat & (after <= last)
+    mid = 0.5 * (v[k] + v[np.minimum(after, last)])
+    return np.where(partner, mid, v[k]), resolved & (partner | ~flat)
+
+
+def _interpolated_medians(v: np.ndarray, w: np.ndarray, cum: np.ndarray, total: np.ndarray):
+    """``weighted_median_ratio``'s ``np.interp(0.5, s, r)`` of each resample.
+
+    Arguments and result as for :func:`_l1_medians`, with ``w`` the weights.
+    Copies of one SNP share its ratio, so the interpolation only reads the
+    positions of the first and the last copy of the SNP where the weight
+    crosses one half and of its held neighbour on the side of the crossing.
+    A row is resolved when the crossing and that neighbour lie in the window.
+    """
+    rows, last = np.arange(len(cum)), cum.shape[1] - 1
+    j = _search(cum, 0.5 * total)
+    resolved = (j >= 1) & (j <= last)
+    j = np.clip(j, 1, last)
+    at, before = cum[rows, j], cum[rows, j - 1]
+    # Rows holding no used SNP have a zero total; the caller discards them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (before + 0.5 * w[j]) / total
+        end = (at - 0.5 * w[j]) / total
+        lower = (first > 0.5) & (before > 0.0)
+        upper = ~lower & (end < 0.5) & (at < total)
+        i = _search(cum, before)  # the held SNP before j
+        k = _search(cum, at, "right")  # the held SNP after j
+        resolved &= ~(lower & (i < 1)) & ~(upper & (k > last))
+        i, k = np.clip(i, 1, last), np.minimum(k, last)
+        x0 = np.where(lower, (before - 0.5 * w[i]) / total, end)
+        y0 = np.where(lower, v[i], v[j])
+        x1 = np.where(lower, first, (at + 0.5 * w[k]) / total)
+        y1 = np.where(lower, v[j], v[k])
+        interpolated = (y1 - y0) / (x1 - x0) * (0.5 - x0) + y0
+    return np.where(lower | upper, interpolated, v[j]), resolved
 
 
 def divw(triples) -> float:

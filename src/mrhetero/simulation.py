@@ -63,6 +63,7 @@ class GFunction:
     def __post_init__(self):
         if self.kind not in ("identity", "affine", "sinusoid", "tabulated"):
             raise ValueError(f"unknown g-function kind {self.kind!r}")
+        _require_finite(self, "shift", "scale", "amplitude", "frequency")
         if self.kind == "tabulated":
             if len(self.knots) < 1:
                 raise ValueError("tabulated g needs at least one knot")
@@ -141,6 +142,7 @@ class Pleiotropy:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown pleiotropy kind {self.kind!r}")
+        _require_finite(self, "mu", "tau0")
         if self.tau0 < 0:
             raise ValueError("tau0 must be nonnegative")
         if self.kind == "idiosyncratic_multi" and self.n_contaminated < 1:
@@ -189,7 +191,8 @@ class Pleiotropy:
             return cls.idiosyncratic_single(float(d.get("mu", 0.1)), float(d.get("tau0", 0.02)))
         if kind == "idiosyncratic_multi":
             return cls.idiosyncratic_multi(
-                float(d.get("mu", 0.1)), float(d.get("tau0", 0.02)), int(d.get("n_contaminated", 5))
+                float(d.get("mu", 0.1)), float(d.get("tau0", 0.02)),
+                _json_int("n_contaminated", d.get("n_contaminated", 5)),
             )
         if kind == "directional":
             return cls.directional(float(d.get("mu", 0.05)), float(d.get("tau0", 0.02)))
@@ -218,9 +221,7 @@ class ScenarioConfig:
             raise ValueError("n must be at least 3 to identify the marginal regressions")
         if not (0.0 < self.maf < 1.0):
             raise ValueError("maf must be strictly between 0 and 1")
-        for name in ("beta0", "gamma_tr_low", "gamma_tr_high"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, "beta0", "gamma_tr_low", "gamma_tr_high")
         if not self.gamma_tr_low < self.gamma_tr_high:
             raise ValueError("gamma_tr_low must be below gamma_tr_high")
         if self.n_replicates < 1:
@@ -258,17 +259,25 @@ class ScenarioConfig:
         kwargs = {k: v for k, v in d.items() if k not in ("g", "pleiotropy")}
         for key in ("p", "n", "n_replicates", "seed"):
             if key in kwargs:
-                v = kwargs[key]
-                if isinstance(v, bool) or not (
-                    isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-                ):
-                    raise ValueError(f"{key} must be an integer, got {v!r}")
-                kwargs[key] = int(v)
+                kwargs[key] = _json_int(key, kwargs[key])
         if "g" in d:
             kwargs["g"] = GFunction.from_json_dict(d["g"])
         if "pleiotropy" in d:
             kwargs["pleiotropy"] = Pleiotropy.from_json_dict(d["pleiotropy"])
         return cls(**kwargs)
+
+
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _json_int(key: str, v) -> int:
+    """A JSON integer, or an integral float; booleans and anything else raise."""
+    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
 
 
 class ReplicateTruth(NamedTuple):

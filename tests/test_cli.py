@@ -459,6 +459,28 @@ class TestSimulate:
         assert "beta0 must be finite" in record["message"]
         assert out == ""
 
+    @pytest.mark.parametrize("part,message", [
+        ({"pleiotropy": {"kind": "balanced", "tau0": math.nan}}, "tau0 must be finite"),
+        ({"pleiotropy": {"kind": "directional", "mu": math.inf}}, "mu must be finite"),
+        ({"g": {"kind": "affine", "shift": math.nan, "scale": 1}}, "shift must be finite"),
+        ({"g": {"kind": "affine", "shift": 0.1, "scale": -math.inf}}, "scale must be finite"),
+        ({"g": {"kind": "sinusoid", "amplitude": math.nan, "frequency": 1}}, "amplitude must be finite"),
+        ({"g": {"kind": "sinusoid", "amplitude": 0.1, "frequency": math.inf}}, "frequency must be finite"),
+        ({"pleiotropy": {"kind": "idiosyncratic_multi", "n_contaminated": 2.5}},
+         "n_contaminated must be an integer"),
+        ({"pleiotropy": {"kind": "idiosyncratic_multi", "n_contaminated": True}},
+         "n_contaminated must be an integer"),
+    ])
+    def test_bad_config_parameter_exit_2_naming_it(self, tmp_path, capsys, part, message):
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps({**part, "p": 5, "n": 300, "n_replicates": 2}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path), "--boot", "10")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert message in record["message"]
+        assert out == ""
+
     def test_scenario_v_defaults_to_large_cohort(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "v", "--replicates", "2", "--p", "6",

@@ -19,6 +19,7 @@ from mrhetero import (
     wls_intercept,
     wls_origin,
 )
+from mrhetero import kernels
 from mrhetero.summary_data import TripleArrays
 
 from conftest import golden_section_min, grid_min_l1, make_triples, wls_intercept_normal_equations
@@ -210,6 +211,126 @@ class TestWeightedMedianRatio:
                              rng.uniform(-1, 1, p), rng.uniform(0.01, 0.1, p))
             a = np.array([x.capgamma_ou / x.gamma_tr for x in t])
             assert a.min() <= weighted_median_ratio(t) <= a.max()
+
+
+class TestCountedMedians:
+    """The counted L1 and weighted-median fits on hand-made count rows.
+
+    On a 2,000-SNP panel the fits read a window of sorted positions around
+    the half-mass point. Each row must equal the point kernel on the
+    resample it stands for, with the same failures, whether its crossing,
+    flat-minimum partner or interpolation neighbour lies inside the window
+    or not.
+    """
+
+    P = 2000
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        # Ratios in random order; every mass is exactly 1 (w = 1 / se^2 with
+        # se = 1, x = gamma_tr = 1, and gamma_tr's own SE too small to
+        # register), except one SNP of mass 4 (se = 1/2) in the middle.
+        rng = np.random.default_rng(17)
+        ratio = rng.permutation(np.linspace(-3.0, 3.0, self.P))
+        se = np.ones(self.P)
+        order = np.argsort(ratio)
+        heavy = order[self.P // 2]
+        se[heavy] = 0.5
+        ones = np.ones(self.P)
+        a = TripleArrays.checked([f"rs{j}" for j in range(self.P)], ones, ones * 2.0**-30,
+                                 ones, ones, ratio, se)
+        d = WeightedPairs(ones, ratio, se**-2)
+        assert np.all(kernels._median_terms(a)[2] == se**-2)
+        masses = (se**-2)[order]
+        assert np.all(masses == np.where(order == heavy, 4.0, 1.0))
+        lo, hi = kernels._half_mass_window(masses)
+        assert 0 < lo < self.P // 2 < hi < self.P
+        return a, d, order, lo, hi
+
+    def rows(self, panel):
+        """Count rows by name, each indexed by sorted position."""
+        _, _, _, lo, hi = panel
+        p = self.P
+        rng = np.random.default_rng(3)
+        middle = p // 2  # the heavy SNP
+        window = np.zeros(p)
+        window[lo:hi] = 1.0
+        window_mass = (hi - lo - 1) + 4.0
+        rows = {"resample": np.bincount(rng.integers(0, p, p), minlength=p).astype(float)}
+        rows["lowest ratios only"] = np.r_[np.ones(100), np.zeros(p - 100)]
+        rows["highest ratios only"] = np.r_[np.zeros(p - 100), np.ones(100)]
+        huge = rows["resample"].copy()
+        huge[0] += 5 * p
+        rows["one huge count"] = huge
+        # The crossing lands exactly on the last window position, and the
+        # flat minimum's partner is the last SNP of the panel.
+        upper = window.copy()
+        upper[p - 1] = window_mass
+        rows["flat at the upper edge"] = upper
+        # The crossing is the first SNP, before the window; its partner is
+        # the window's first position.
+        lower = window.copy()
+        lower[0] = window_mass
+        rows["flat at the lower edge"] = lower
+        inside = np.zeros(p)
+        inside[lo + 10:lo + 20] = 1.0
+        rows["flat inside"] = inside
+        # One copy each of the heavy SNP and a SNP outside the window: the
+        # weighted median interpolates towards the one outside.
+        for name, k in (("neighbour below the window", 0), ("neighbour above the window", p - 1)):
+            row = np.zeros(p)
+            row[[k, middle]] = 1.0
+            rows[name] = row
+        rows["empty"] = np.zeros(p)
+        return rows
+
+    @pytest.mark.parametrize("fit", ["l1", "weighted median"])
+    def test_rows_equal_the_point_kernel_on_their_resample(self, panel, fit):
+        a, d, order, _, _ = panel
+        rows = self.rows(panel)
+        counts = np.zeros((len(rows), self.P))
+        counts[:, order] = np.array(list(rows.values()))
+        if fit == "l1":
+            counted, point = kernels.counted_l1_origin(d), lambda s: l1_origin(
+                WeightedPairs(s.gamma_tr, s.capgamma_ou, s.se_capgamma_ou**-2))
+        else:
+            counted, point = kernels.counted_weighted_median_ratio(a), weighted_median_ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, passed, resolved = counted(counts)
+        assert resolved.all()
+        for name, row, value, ok in zip(rows, counts, values, passed):
+            sample = a.take(np.repeat(np.arange(self.P), row.astype(int)))
+            if not len(sample):
+                assert not ok, name
+                continue
+            assert ok, name
+            assert value == pytest.approx(point(sample), rel=1e-12, abs=0.0), name
+
+    def test_flat_l1_minimum_takes_the_midpoint_beyond_the_window(self, panel):
+        _, d, order, lo, hi = panel
+        ratios = np.sort(d.y)
+        rows = self.rows(panel)
+        counts = np.zeros((2, self.P))
+        counts[:, order] = [rows["flat at the upper edge"], rows["flat at the lower edge"]]
+        values, _, _ = kernels.counted_l1_origin(d)(counts)
+        assert list(values) == [0.5 * (ratios[hi - 1] + ratios[-1]), 0.5 * (ratios[0] + ratios[lo])]
+
+    def test_large_panels_read_a_window(self, panel):
+        _, _, _, lo, hi = panel
+        assert hi - lo < self.P / 2
+        assert kernels._half_mass_window(np.ones(200)) == (0, 200)
+
+    def test_no_used_snp_fails_without_warnings(self):
+        counts = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        zero_x = pairs([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        zero_tr = make_triples([0.0] * 3, [0.1] * 3, [0.1] * 3, [0.1] * 3, [0.1] * 3, [0.1] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (kernels.counted_l1_origin(zero_x), kernels.counted_weighted_median_ratio(zero_tr)):
+                values, passed, resolved = fit(counts)
+                assert not passed.any() and resolved.all()
+                assert list(values) == [0.0, 0.0]
 
 
 class TestDivw:

@@ -22,7 +22,7 @@ from mrhetero import (
     estimate_many,
 )
 from mrhetero.estimators import point_estimator
-from mrhetero.kernels import REL_DENOM_TOL, WeightedPairs, l1_origin
+from mrhetero.kernels import REL_DENOM_TOL, WeightedPairs, _half_mass_window, _median_terms, l1_origin
 from mrhetero.summary_data import TripleArrays
 
 from conftest import random_triples
@@ -220,6 +220,17 @@ def assert_counts_match_resamples(a: TripleArrays, seed: int, n_boot: int = 60) 
 @given(panel=panels)
 def test_counted_bootstrap_matches_copied_resamples(panel):
     _, a = draw_panel(*panel)
+    assert_counts_match_resamples(a, seed=panel[0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(panel=st.tuples(st.integers(0, 2**32 - 1), st.integers(1000, 2000)))
+def test_counted_bootstrap_matches_copied_resamples_on_large_panels(panel):
+    # Large enough that the counted medians read a window narrower than the panel.
+    _, a = draw_panel(*panel)
+    _, ratios, masses = _median_terms(a)
+    lo, hi = _half_mass_window(masses[np.argsort(ratios, kind="stable")])
+    assert hi - lo < len(a)
     assert_counts_match_resamples(a, seed=panel[0])
 
 

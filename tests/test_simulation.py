@@ -83,6 +83,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             ScenarioConfig(**{key: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["mu", "tau0"])
+    def test_pleiotropy_parameters_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Pleiotropy(kind="directional", **{key: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,key", [("affine", "shift"), ("affine", "scale"),
+                                          ("sinusoid", "amplitude"), ("sinusoid", "frequency")])
+    def test_g_parameters_must_be_finite(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            GFunction(kind=kind, **{key: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_contaminated_count_must_be_an_integer(self, value):
+        d = {"kind": "idiosyncratic_multi", "n_contaminated": value}
+        with pytest.raises(ValueError, match="n_contaminated must be an integer"):
+            Pleiotropy.from_json_dict(d)
+
+    def test_integral_float_contaminated_count_accepted(self):
+        d = {"kind": "idiosyncratic_multi", "n_contaminated": 3.0}
+        assert Pleiotropy.from_json_dict(d).n_contaminated == 3
+
     def test_null_effect_allowed(self):
         assert ScenarioConfig(beta0=0.0).beta0 == 0.0
 
