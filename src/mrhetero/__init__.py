@@ -28,7 +28,6 @@ from .estimators import (
     mr_wald,
     mr_wald_d,
     mr_wald_r,
-    point_estimate,
 )
 from .heterogeneity import HetTestResult, chisq_sf, het_test
 from .kernels import (
@@ -49,7 +48,6 @@ from .simulation import (
     ReplicateTruth,
     ScenarioConfig,
     ScenarioSummary,
-    oracle_mr_wald_variance,
     run_scenario,
     simulate_replicate,
 )
@@ -118,9 +116,7 @@ __all__ = [
     "mr_wald",
     "mr_wald_d",
     "mr_wald_r",
-    "oracle_mr_wald_variance",
     "parse_summary_file",
-    "point_estimate",
     "run_scenario",
     "simulate_replicate",
     "weighted_median_ratio",

@@ -35,6 +35,11 @@ _RESAMPLE_FAILURES = (VanishingDenominator, DegenerateDesign)
 #: results do not depend on it.
 _CHUNK = 20
 
+#: Largest ``n_boot`` a :class:`BootstrapConfig` accepts: its replicate
+#: values take 8 MB per bootstrapped method. A larger count would take
+#: hours, or fail to allocate, only after the inputs were read.
+MAX_N_BOOT = 1_000_000
+
 
 class CiKind(str, enum.Enum):
     NORMAL_APPROX = "NormalApprox"
@@ -51,6 +56,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_boot < 2:
             raise ValueError("n_boot must be at least 2")
+        if self.n_boot > MAX_N_BOOT:
+            raise ValueError(f"n_boot must be at most {MAX_N_BOOT}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not (0.0 < self.level < 1.0):

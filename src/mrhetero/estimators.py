@@ -255,11 +255,6 @@ def point_estimator(method: Method):
     return call
 
 
-def point_estimate(method: Method, triples) -> MrEstimate:
-    """Point estimate without inference."""
-    return estimate(method, triples)
-
-
 def estimate(method: Method, triples, boot: BootstrapConfig | None = None) -> MrEstimate:
     """Point estimate with a confidence interval.
 
@@ -327,12 +322,12 @@ def _with_interval(e: MrEstimate, se, lo, hi, level, **aux) -> MrEstimate:
 
 def mr_wald(triples) -> MrEstimate:
     """Ratio of the two inverse-variance weighted origin slopes."""
-    return point_estimate(Method.MR_WALD, triples)
+    return estimate(Method.MR_WALD, triples)
 
 
 def mr_wald_r(triples) -> MrEstimate:
     """Ratio of the two weighted absolute-error origin slopes."""
-    return point_estimate(Method.MR_WALD_R, triples)
+    return estimate(Method.MR_WALD_R, triples)
 
 
 def mr_wald_d(triples) -> MrEstimate:
@@ -341,4 +336,4 @@ def mr_wald_d(triples) -> MrEstimate:
     The intercepts absorb a common directional (nonzero-mean) pleiotropic
     shift; both are reported in ``auxiliary``.
     """
-    return point_estimate(Method.MR_WALD_D, triples)
+    return estimate(Method.MR_WALD_D, triples)

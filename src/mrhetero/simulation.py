@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, stream_seed
+from .bootstrap import BootstrapConfig, _replicate_rng, stream_seed
 from .errors import (
     DegenerateDesign,
     DegenerateInput,
@@ -31,7 +31,6 @@ from .errors import (
     VanishingDenominator,
 )
 from .estimators import Method, estimate_many
-from .kernels import REL_DENOM_TOL
 from .summary_data import TripleArrays, blocked_regressions
 
 # Not called here: the benchmark's traced run (bench/spans.py) wraps these
@@ -366,7 +365,7 @@ def simulate_replicate(
     come from the same sample, reproducing the dependence the estimators
     must tolerate.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,)))
+    rng = _replicate_rng(cfg.seed, r)
     gamma_tr = rng.uniform(cfg.gamma_tr_low, cfg.gamma_tr_high, cfg.p)
     gamma_ou = cfg.g(gamma_tr)
     alpha_star, alpha = _draw_alpha(rng, cfg.pleiotropy, gamma_tr)
@@ -394,29 +393,6 @@ def simulate_replicate(
     if return_truth:
         return triples, ReplicateTruth(gamma_tr, gamma_ou, alpha_star, alpha)
     return triples
-
-
-def oracle_mr_wald_variance(gamma_tr, gamma_ou, se_gamma_tr, se_gamma_ou, sigma_u) -> float:
-    """Asymptotic variance of the ratio-of-slopes estimator at known truth.
-
-    Simulation-only: ``sigma_u`` is the standard deviation of the combined
-    outcome-side residual, which is not estimable from summary data alone.
-    """
-    gamma_tr = np.asarray(gamma_tr, dtype=float)
-    gamma_ou = np.asarray(gamma_ou, dtype=float)
-    se_gamma_tr = np.asarray(se_gamma_tr, dtype=float)
-    se_gamma_ou = np.asarray(se_gamma_ou, dtype=float)
-    sigma_u = np.asarray(sigma_u, dtype=float)
-    if not (gamma_tr.shape == gamma_ou.shape == se_gamma_tr.shape == se_gamma_ou.shape == sigma_u.shape):
-        raise ValueError("all five vectors must have equal length")
-    if np.any(se_gamma_tr <= 0) or np.any(se_gamma_ou <= 0):
-        raise ValueError("standard errors must be strictly positive")
-    num = float(np.sum((gamma_tr**2 + se_gamma_tr**2) * sigma_u**2 / se_gamma_ou**4))
-    den = float(np.sum(gamma_tr * gamma_ou / se_gamma_ou**2))
-    den_scale = float(np.sum(np.abs(gamma_tr * gamma_ou) / se_gamma_ou**2))
-    if den == 0.0 or abs(den) < REL_DENOM_TOL * den_scale:
-        raise VanishingDenominator("oracle variance denominator is zero", value=den)
-    return num / den**2
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,27 @@ class SnpRecord:
     n: int | None = None
 
     def __post_init__(self):
-        if not self.snp_id:
-            raise ValueError("empty SNP id")
-        if not self.effect_allele or not self.other_allele:
-            raise ValueError("empty allele token")
-        if self.effect_allele == self.other_allele:
-            raise ValueError("effect and other allele are identical")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta is not finite")
-        if not (math.isfinite(self.se) and self.se > 0):
-            raise ValueError("se must be a positive finite number")
-        if self.n is not None and self.n <= 0:
-            raise ValueError("n must be a positive count")
+        for holds, message in _snp_rules(*SnpArrays._fields(self)):
+            if not holds:
+                raise ValueError(message)
+
+
+def _snp_rules(snp_id, effect_allele, other_allele, beta, se, n):
+    """The rule table of a :class:`SnpRecord`: each rule, in the order they are
+    checked, as ``(holds, message)``.
+
+    The fields are one row's values or whole :class:`SnpArrays` columns, with
+    NaN for a missing ``n``; ``holds`` is elementwise, and false on a NaN
+    ``beta`` or ``se``. Rules are yielded one at a time, so a row is held
+    only to those up to the first it breaks.
+    """
+    yield snp_id != "", "empty SNP id"
+    yield (effect_allele != "") & (other_allele != ""), "empty allele token"
+    yield effect_allele != other_allele, "effect and other allele are identical"
+    yield abs(beta) < math.inf, "beta is not finite"
+    yield (se > 0) & (se < math.inf), "se must be a positive finite number"
+    # NaN, a missing count, is the one value unequal to itself.
+    yield (n > 0) | (n != n), "n must be a positive count"
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,44 @@ class HarmonizationReport:
         return asdict(self)
 
 
-class TripleArrays(Sequence):
+class _Columns(Sequence):
+    """Aligned NumPy columns, one per name in ``__slots__`` with the dtype at
+    the same place in ``_DTYPES``, that also read as an immutable sequence of
+    rows, each built on access.
+
+    A subclass converts one row each way: ``_row`` builds row ``i`` and
+    ``_fields`` gives a row's values in column order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *columns):
+        for name, dtype, column in zip(self.__slots__, self._DTYPES, columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """``rows`` as columns: an instance as it is, a sequence of rows copied once."""
+        if isinstance(rows, cls):
+            return rows
+        fields = [cls._fields(row) for row in rows]
+        return cls(*(zip(*fields) if fields else [()] * len(cls.__slots__)))
+
+    def take(self, indices):
+        """Row subset, in the order of ``indices`` and with repetition allowed,
+        e.g. a bootstrap resample."""
+        return type(self)(*(getattr(self, name)[indices] for name in self.__slots__))
+
+    def __len__(self) -> int:
+        return getattr(self, self.__slots__[0]).shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._row(i)
+
+
+class TripleArrays(_Columns):
     """Harmonized per-SNP summary statistics as seven aligned columns.
 
     The one internal representation: :func:`harmonize` and the simulator
@@ -135,16 +181,7 @@ class TripleArrays(Sequence):
     """
 
     __slots__ = ("snp_ids", *_VALUES)
-
-    def __init__(self, snp_ids, gamma_tr, se_gamma_tr, gamma_ou, se_gamma_ou,
-                 capgamma_ou, se_capgamma_ou):
-        self.snp_ids = np.asarray(snp_ids, dtype=object)
-        self.gamma_tr = np.asarray(gamma_tr, dtype=float)
-        self.se_gamma_tr = np.asarray(se_gamma_tr, dtype=float)
-        self.gamma_ou = np.asarray(gamma_ou, dtype=float)
-        self.se_gamma_ou = np.asarray(se_gamma_ou, dtype=float)
-        self.capgamma_ou = np.asarray(capgamma_ou, dtype=float)
-        self.se_capgamma_ou = np.asarray(se_capgamma_ou, dtype=float)
+    _DTYPES = (object,) + (float,) * len(_VALUES)
 
     @classmethod
     def checked(cls, *columns) -> "TripleArrays":
@@ -153,32 +190,15 @@ class TripleArrays(Sequence):
         _check_triple(arrays)
         return arrays
 
-    def take(self, indices) -> "TripleArrays":
-        """Row subset (with repetition allowed), e.g. a bootstrap resample."""
-        return TripleArrays(*(getattr(self, name)[indices] for name in self.__slots__))
-
-    def __len__(self) -> int:
-        return self.gamma_tr.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def _row(self, i) -> HarmonizedTriple:
         return HarmonizedTriple(self.snp_ids[i], *(float(getattr(self, name)[i]) for name in _VALUES))
 
-
-def as_triple_arrays(triples) -> TripleArrays:
-    """``triples`` as columns: a :class:`TripleArrays` as it is, rows copied once.
-
-    The only place a sequence of :class:`HarmonizedTriple` rows, as a library
-    caller may pass, becomes columns.
-    """
-    if isinstance(triples, TripleArrays):
-        return triples
-    rows = list(triples)
-    return TripleArrays([t.snp_id for t in rows], *([getattr(t, name) for t in rows] for name in _VALUES))
+    @staticmethod
+    def _fields(t: HarmonizedTriple) -> tuple:
+        return (t.snp_id, *(getattr(t, name) for name in _VALUES))
 
 
-class SnpArrays(Sequence):
+class SnpArrays(_Columns):
     """One summary file's SNPs as six aligned columns.
 
     :func:`parse_summary_file` returns it and :func:`harmonize` reads its
@@ -189,39 +209,24 @@ class SnpArrays(Sequence):
     """
 
     __slots__ = ("snp_ids", "effect_allele", "other_allele", "beta", "se", "n")
+    _DTYPES = (object, object, object, float, float, float)
 
-    def __init__(self, snp_ids, effect_allele, other_allele, beta, se, n):
-        self.snp_ids = np.asarray(snp_ids, dtype=object)
-        self.effect_allele = np.asarray(effect_allele, dtype=object)
-        self.other_allele = np.asarray(other_allele, dtype=object)
-        self.beta = np.asarray(beta, dtype=float)
-        self.se = np.asarray(se, dtype=float)
-        self.n = np.asarray(n, dtype=float)
-
-    def take(self, indices) -> "SnpArrays":
-        """Row subset, in the order of ``indices``."""
-        return SnpArrays(*(getattr(self, name)[indices] for name in self.__slots__))
-
-    def __len__(self) -> int:
-        return self.beta.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def _row(self, i) -> SnpRecord:
         n = float(self.n[i])
         return SnpRecord(self.snp_ids[i], self.effect_allele[i], self.other_allele[i],
                          float(self.beta[i]), float(self.se[i]), None if math.isnan(n) else int(n))
 
+    @staticmethod
+    def _fields(r: SnpRecord) -> tuple:
+        return r.snp_id, r.effect_allele, r.other_allele, r.beta, r.se, math.nan if r.n is None else r.n
 
-def as_snp_arrays(records) -> SnpArrays:
-    """``records`` as columns: a :class:`SnpArrays` as it is, :class:`SnpRecord` rows copied once."""
-    if isinstance(records, SnpArrays):
-        return records
-    rows = list(records)
-    return SnpArrays(
-        [r.snp_id for r in rows], [r.effect_allele for r in rows], [r.other_allele for r in rows],
-        [r.beta for r in rows], [r.se for r in rows], [math.nan if r.n is None else r.n for r in rows],
-    )
+
+#: ``triples`` as columns: a :class:`TripleArrays` as it is, a sequence of
+#: :class:`HarmonizedTriple` rows, as a library caller may pass, copied once.
+as_triple_arrays = TripleArrays._from_rows
+
+#: ``records`` as columns: a :class:`SnpArrays` as it is, :class:`SnpRecord` rows copied once.
+as_snp_arrays = SnpArrays._from_rows
 
 
 def parse_summary_file(path, columns: dict | None = None, lenient: bool = False) -> SnpArrays:
@@ -344,15 +349,16 @@ def _columns(rows, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
     n = np.full(len(rows), math.nan)
     if n_pos is not None:
         n = _floats(cols[n_pos])
-        valid = (n >= 1) & (n < math.inf)
-        # ``float`` gives NaN or fails on the missing-value tokens and on
-        # nothing else that is valid.
+        # A count must survive ``int(float(cell))``, which fails on
+        # infinities and NaN; of the cells that may stand, only the
+        # missing-value tokens read as NaN.
+        unread = ~(abs(n) < math.inf)
         for i in np.flatnonzero(np.isnan(n)):
-            valid[i] = cols[n_pos][i].strip().lower() in _MISSING_N
-        bad |= ~valid
+            unread[i] = cols[n_pos][i].strip().lower() not in _MISSING_N
+        bad |= unread
         n = np.trunc(n)
-    bad |= (ids == "") | (effect == "") | (other == "") | (effect == other)
-    bad |= ~(np.isfinite(beta) & (se > 0) & (se < math.inf))
+    for holds, _ in _snp_rules(ids, effect, other, beta, se, n):
+        bad |= ~holds
     return SnpArrays(ids, effect, other, beta, se, n), bad
 
 
@@ -394,32 +400,23 @@ def _first_repeat(ids) -> int | None:
 
 
 def _reject(path, lineno, line, row, positions, n_pos):
-    """Raise the error of the first rejected row: the one-row rules name its reason."""
+    """Raise the error of the first rejected row, naming its first unparseable
+    cell or the first rule it breaks."""
     if not _is_utf8(line):
         raise DataError(f"{path}:{lineno}: row is not UTF-8 text", path=str(path))
     if row is None:
         raise MalformedRow(lineno, _UNCLOSED)
+    # Each cell is parsed as for a SnpRecord field, so that one that does
+    # not parse raises Python's own error.
     try:
-        _row_to_record(row, positions, n_pos)
+        raw = row[n_pos].strip() if n_pos is not None and n_pos < len(row) else ""
+        n = math.nan if raw.lower() in _MISSING_N else int(float(raw))
+        snp_id, effect, other = (row[positions[f]].strip() for f in ("snp", "effect_allele", "other_allele"))
+        beta, se = float(row[positions["beta"]]), float(row[positions["se"]])
     except (ValueError, IndexError, OverflowError) as exc:
         raise MalformedRow(lineno, str(exc)) from exc
-    raise AssertionError(f"line {lineno} of {path} passes the row rules but not the column rules")
-
-
-def _row_to_record(row, positions, n_pos) -> SnpRecord:
-    n = None
-    if n_pos is not None and n_pos < len(row):
-        raw = row[n_pos].strip()
-        if raw.lower() not in _MISSING_N:
-            n = int(float(raw))
-    return SnpRecord(
-        snp_id=row[positions["snp"]].strip(),
-        effect_allele=row[positions["effect_allele"]].strip().upper(),
-        other_allele=row[positions["other_allele"]].strip().upper(),
-        beta=float(row[positions["beta"]]),
-        se=float(row[positions["se"]]),
-        n=n,
-    )
+    rules = _snp_rules(snp_id, effect.upper(), other.upper(), beta, se, n)
+    raise MalformedRow(lineno, next(message for holds, message in rules if not holds))
 
 
 #: Treatment allele pairs whose strand cannot be read from the betas.

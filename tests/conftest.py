@@ -3,7 +3,8 @@
 The oracles deliberately avoid the code paths they check: scalar golden
 section instead of the closed-form weighted slope, dense grid scans instead
 of the weighted-median reduction, and adaptive quadrature of the density
-instead of the incomplete-gamma recursions.
+instead of the incomplete-gamma recursions. :func:`oracle_mr_wald_variance`
+needs the simulation's truth, which summary data do not carry.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mrhetero import HarmonizedTriple
+from mrhetero import HarmonizedTriple, VanishingDenominator
+from mrhetero.kernels import REL_DENOM_TOL
 
 
 @pytest.fixture
@@ -100,3 +102,26 @@ def chisq_sf_by_quadrature(x, df):
 
     value, _err = integrate.quad(density, x, np.inf, limit=300)
     return value
+
+
+def oracle_mr_wald_variance(gamma_tr, gamma_ou, se_gamma_tr, se_gamma_ou, sigma_u) -> float:
+    """Asymptotic variance of the ratio-of-slopes estimator at known truth.
+
+    Simulation-only: ``sigma_u`` is the standard deviation of the combined
+    outcome-side residual, which is not estimable from summary data alone.
+    """
+    gamma_tr = np.asarray(gamma_tr, dtype=float)
+    gamma_ou = np.asarray(gamma_ou, dtype=float)
+    se_gamma_tr = np.asarray(se_gamma_tr, dtype=float)
+    se_gamma_ou = np.asarray(se_gamma_ou, dtype=float)
+    sigma_u = np.asarray(sigma_u, dtype=float)
+    if not (gamma_tr.shape == gamma_ou.shape == se_gamma_tr.shape == se_gamma_ou.shape == sigma_u.shape):
+        raise ValueError("all five vectors must have equal length")
+    if np.any(se_gamma_tr <= 0) or np.any(se_gamma_ou <= 0):
+        raise ValueError("standard errors must be strictly positive")
+    num = float(np.sum((gamma_tr**2 + se_gamma_tr**2) * sigma_u**2 / se_gamma_ou**4))
+    den = float(np.sum(gamma_tr * gamma_ou / se_gamma_ou**2))
+    den_scale = float(np.sum(np.abs(gamma_tr * gamma_ou) / se_gamma_ou**2))
+    if den == 0.0 or abs(den) < REL_DENOM_TOL * den_scale:
+        raise VanishingDenominator("oracle variance denominator is zero", value=den)
+    return num / den**2

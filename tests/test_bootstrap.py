@@ -14,7 +14,7 @@ from mrhetero import (
     bootstrap,
     bootstrap_many,
 )
-from mrhetero.bootstrap import stream_seed, z_quantile
+from mrhetero.bootstrap import MAX_N_BOOT, stream_seed, z_quantile
 from mrhetero.summary_data import as_triple_arrays
 
 from conftest import random_triples
@@ -130,6 +130,11 @@ class TestBootstrap:
             BootstrapConfig(level=1.0)
         with pytest.raises(ValueError):
             BootstrapConfig(seed=-1)
+
+    def test_n_boot_has_a_maximum(self):
+        assert BootstrapConfig(n_boot=MAX_N_BOOT).n_boot == MAX_N_BOOT
+        with pytest.raises(ValueError, match=f"n_boot must be at most {MAX_N_BOOT}"):
+            BootstrapConfig(n_boot=MAX_N_BOOT + 1)
 
 
 class TestBootstrapMany:

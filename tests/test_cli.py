@@ -111,6 +111,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag,value,message", [
         ("--boot", "1", "n_boot must be at least 2"),
         ("--level", "1.5", "level must be strictly between 0 and 1"),
+        ("--boot", "100000000000000000000", "n_boot must be at most 1000000"),
     ])
     def test_bad_bootstrap_setting_maps_to_exit_2(self, tmp_path, capsys, flag, value, message):
         tr, oug, ouy = write_inputs(tmp_path)
@@ -529,6 +530,13 @@ class TestSimulate:
                                  "--p", "5", "--n", "300", flag, value)
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
+        assert out == ""
+
+    def test_boot_above_the_maximum_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "2",
+                                 "--p", "5", "--n", "300", "--boot", "100000000000000000000")
+        assert code == 2
+        assert json.loads(err) == {"error": "DataError", "message": "n_boot must be at most 1000000"}
         assert out == ""
 
     def test_bad_thread_count_exit_2_in_analyze(self, tmp_path, capsys, monkeypatch):

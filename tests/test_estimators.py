@@ -17,13 +17,16 @@ from mrhetero import (
     mr_wald,
     mr_wald_d,
     mr_wald_r,
-    oracle_mr_wald_variance,
-    point_estimate,
 )
 from mrhetero.estimators import _held_max
 from mrhetero.kernels import l1_origin, WeightedPairs
 
-from conftest import make_triples, random_triples, wls_intercept_normal_equations
+from conftest import (
+    make_triples,
+    oracle_mr_wald_variance,
+    random_triples,
+    wls_intercept_normal_equations,
+)
 
 
 def noiseless(gamma_tr, b, beta0, se_tr=0.01, se_ou=0.02, se_cap=0.03):
@@ -160,24 +163,24 @@ class TestUnitEquivariance:
     @pytest.mark.parametrize("method", [Method.MR_WALD, Method.MR_WALD_R, Method.MR_WALD_D])
     def test_exposure_units_cancel(self, method, rng):
         t, _, _ = random_triples(rng, 8, noise=0.03)
-        base = point_estimate(method, t).beta
+        base = estimate(method, t).beta
         for c in (0.25, 7.0):
             scaled = make_triples(
                 [c * x.gamma_tr for x in t], [c * x.se_gamma_tr for x in t],
                 [x.gamma_ou for x in t], [x.se_gamma_ou for x in t],
                 [x.capgamma_ou for x in t], [x.se_capgamma_ou for x in t])
-            assert point_estimate(method, scaled).beta == pytest.approx(base, rel=1e-9)
+            assert estimate(method, scaled).beta == pytest.approx(base, rel=1e-9)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_outcome_units_scale_estimate(self, method, rng):
         t, _, _ = random_triples(rng, 8, noise=0.03)
-        base = point_estimate(method, t).beta
+        base = estimate(method, t).beta
         c = 3.5
         scaled = make_triples(
             [x.gamma_tr for x in t], [x.se_gamma_tr for x in t],
             [x.gamma_ou for x in t], [x.se_gamma_ou for x in t],
             [c * x.capgamma_ou for x in t], [c * x.se_capgamma_ou for x in t])
-        assert point_estimate(method, scaled).beta == pytest.approx(c * base, rel=1e-9)
+        assert estimate(method, scaled).beta == pytest.approx(c * base, rel=1e-9)
 
 
 class TestEstimateComposition:
@@ -206,7 +209,7 @@ class TestEstimateComposition:
 
     def test_point_estimate_has_no_ci(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)
-        est = point_estimate(Method.WEIGHTED_MEDIAN, t)
+        est = estimate(Method.WEIGHTED_MEDIAN, t)
         assert est.se is None and est.ci_low is None and est.ci_high is None
 
 
@@ -253,7 +256,7 @@ class TestEstimateMany:
 
     def test_without_bootstrap_gives_points(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)
-        assert estimate_many(list(Method), t) == [point_estimate(m, t) for m in Method]
+        assert estimate_many(list(Method), t) == [estimate(m, t) for m in Method]
 
 
 class TestOracleVariance:

@@ -15,11 +15,11 @@ from mrhetero import (
     Pleiotropy,
     ScenarioConfig,
     TripleArrays,
+    estimate,
     run_scenario,
     simulate_replicate,
     simulation,
 )
-from mrhetero.estimators import point_estimate
 from mrhetero.simulation import _draw_alpha, _draw_genotypes, thread_count
 from mrhetero.summary_data import marginal_regressions
 
@@ -298,7 +298,7 @@ class TestRunScenario:
         # consistency: growing both the panel and the cohorts shrinks the
         # ratio estimator's Monte-Carlo RMSE
         def error(cfg, r):
-            return point_estimate(Method.MR_WALD, simulate_replicate(cfg, r)).beta - cfg.beta0
+            return estimate(Method.MR_WALD, simulate_replicate(cfg, r)).beta - cfg.beta0
 
         rmses = []
         # The replicates are independent streams; map keeps them in order.

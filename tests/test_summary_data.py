@@ -92,6 +92,23 @@ class TestParse:
         with pytest.raises(ValueError):
             SnpRecord("rs1", "A", "A", 0.1, 0.1)
 
+    @pytest.mark.parametrize("fields, message", [
+        (("", "A", "G", 0.1, 0.01, 100), "empty SNP id"),
+        (("rs2", "A", "", 0.1, 0.01, 100), "empty allele token"),
+        (("rs2", "C", "C", 0.1, 0.01, 100), "effect and other allele are identical"),
+        (("rs2", "A", "G", math.inf, 0.01, 100), "beta is not finite"),
+        (("rs2", "A", "G", 0.1, 0.0, 100), "se must be a positive finite number"),
+        (("rs2", "A", "G", 0.1, 0.01, 0), "n must be a positive count"),
+    ])
+    def test_record_rules_match_the_parse_reason(self, tmp_path, fields, message):
+        with pytest.raises(ValueError) as record:
+            SnpRecord(*fields)
+        assert str(record.value) == message
+        rows = ["rs1\tA\tG\t0.1\t0.01\t100", "\t".join(map(str, fields)), "rs3\tC\tT\t0.1\t0.01\t100"]
+        with pytest.raises(MalformedRow) as exc:
+            parse_summary_file(write_tsv(tmp_path / "a.tsv", rows))
+        assert exc.value.details == {"line": 3, "reason": message}
+
     def test_byte_order_mark_before_header(self, tmp_path):
         rows = ["rs1\tA\tG\t0.05\t0.01\t1000", "rs2\tC\tT\t-0.02\t0.02\t900"]
         plain = write_tsv(tmp_path / "plain.tsv", rows)
@@ -394,6 +411,8 @@ class TestTripleArrays:
         arrays = as_triple_arrays(triples)
         assert list(arrays) == triples
         assert len(arrays) == 2
+        assert arrays[-1] == triples[1] and arrays[-2] == triples[0]
+        assert arrays[:1] == triples[:1] and arrays[::-1] == triples[::-1] and arrays[5:] == []
         sub = arrays.take([1, 1, 0])
         assert sub[0] == triples[1] and sub[2] == triples[0]
 
