@@ -15,12 +15,13 @@ import json
 import math
 import re
 import sys
+import warnings
 
 from .bootstrap import BootstrapConfig, CiKind
 from .errors import DataError, MrHeteroError
 from .estimators import Method, estimate_many
 from .heterogeneity import het_test
-from .simulation import GFunction, Pleiotropy, ScenarioConfig, run_scenario, thread_count
+from .simulation import GFunction, ScenarioConfig, run_scenario, thread_count
 from .summary_data import DEFAULT_COLUMNS, harmonize, parse_summary_file
 
 # Not called here: the benchmark's traced run (bench/spans.py) wraps this
@@ -36,13 +37,9 @@ _METHOD_ALIASES = {
 }
 _METHODS_HELP = f"comma-separated estimators ({', '.join(m.value for m in Method)})"
 
-_SCENARIOS = {
-    "i": Pleiotropy.none(),
-    "ii": Pleiotropy.balanced(0.02),
-    "iii": Pleiotropy.idiosyncratic_single(0.1, 0.02),
-    "iv": Pleiotropy.idiosyncratic_multi(0.1, 0.02, 5),
-    "v": Pleiotropy.directional(0.05, 0.02),
-}
+# Each scenario's pleiotropy kind, at its factory defaults.
+_SCENARIOS = {"i": "none", "ii": "balanced", "iii": "idiosyncratic_single",
+              "iv": "idiosyncratic_multi", "v": "directional"}
 
 # The directional scenario is benchmarked at a larger cohort size.
 _SCENARIO_DEFAULT_N = {"v": 100_000}
@@ -253,12 +250,12 @@ def _scenario_config(args) -> ScenarioConfig:
         try:
             with open(args.config, encoding="utf-8-sig") as fh:
                 base = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # undecodable bytes, bad JSON or an integer of too many digits
             raise DataError(f"config file is not valid UTF-8 JSON: {exc}", path=args.config) from None
         if not isinstance(base, dict):
             raise DataError("config file must contain a JSON object")
     if args.scenario is not None:
-        base["pleiotropy"] = _SCENARIOS[args.scenario].to_json_dict()
+        base["pleiotropy"] = {"kind": _SCENARIOS[args.scenario]}
         if args.n is None and "n" not in base and args.scenario in _SCENARIO_DEFAULT_N:
             base["n"] = _SCENARIO_DEFAULT_N[args.scenario]
     if args.g is not None:
@@ -275,7 +272,7 @@ def _scenario_config(args) -> ScenarioConfig:
             base[key] = value
     try:
         return ScenarioConfig.from_json_dict(base)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a factory parameter left out, e.g. scale
         raise DataError(f"bad scenario config: {exc}") from None
 
 
@@ -294,8 +291,7 @@ def cmd_simulate(args) -> int:
 def _summary_tsv(summary: dict) -> str:
     names = list(summary["methods"])
     lines = ["metric\t" + "\t".join(names)]
-    for metric in ("bias_pct", "rmse_pct", "ci_length_pct", "coverage_pct",
-                   "n_replicates_used", "n_failed"):
+    for metric in summary["methods"][names[0]]:
         row = [metric] + [_fmt_cell(summary["methods"][n][metric]) for n in names]
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
@@ -364,25 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except DataError as exc:
-        _error_record(exc)
-        return 2
-    except OSError as exc:
-        # A file that is missing, a directory or unreadable is a usage error.
-        error = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
-        record = {"error": error, "message": str(exc)}
-        if exc.filename is not None:
-            record["path"] = str(exc.filename)
-        print(json.dumps(record), file=sys.stderr)
-        return 2
-    except MrHeteroError as exc:
-        _error_record(exc)
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # The filters still decide which warnings are shown, each as one JSON record.
+        warnings.showwarning = lambda message, category, *_: print(
+            json.dumps({"warning": category.__name__, "message": str(message)}), file=sys.stderr)
+        try:
+            return args.func(args)
+        except DataError as exc:
+            _error_record(exc)
+            return 2
+        except OSError as exc:
+            # A file that is missing, a directory or unreadable is a usage error.
+            error = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+            record = {"error": error, "message": str(exc)}
+            if exc.filename is not None:
+                record["path"] = str(exc.filename)
+            print(json.dumps(record), file=sys.stderr)
+            return 2
+        except MrHeteroError as exc:
+            _error_record(exc)
+            return 1
+        except ValueError as exc:
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+            return 1
 
 
 def _error_record(exc: MrHeteroError) -> None:

@@ -174,7 +174,7 @@ def _median_terms(a):
     g = a.gamma_tr[usable]
     var = a.se_capgamma_ou[usable] ** 2 / g**2 + (
         a.capgamma_ou[usable] ** 2 * a.se_gamma_tr[usable] ** 2
-    ) / g**4
+    ) / (g * g) ** 2  # not g**4: numpy's vectorised power is not exactly even in g
     return usable, a.capgamma_ou[usable] / g, 1.0 / var
 
 

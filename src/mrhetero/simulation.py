@@ -14,10 +14,11 @@ of the output.
 from __future__ import annotations
 
 import copy
-import math
+import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,9 @@ from .summary_data import as_triple_arrays, marginal_regressions  # noqa: F401
 
 THREADS_ENV_VAR = "MR_HETERO_THREADS"
 
+#: Largest accepted ``MR_HETERO_THREADS``; a pool starts up to one thread per task.
+MAX_THREADS = 256
+
 #: Genotype cells drawn and reduced per row block: 2 MiB of float64, so a
 #: replicate's memory is set by the block rather than by n. The drawn values
 #: do not depend on it; only the order of summation does.
@@ -48,26 +52,60 @@ _BLOCK_CELLS = 2**18
 _METHOD_FAILURES = (VanishingDenominator, DegenerateDesign, DegenerateInput, TooManyFailures)
 
 
+class _Kinded:
+    """JSON form shared by the config classes whose ``kind`` picks their parameters.
+
+    ``_PARAMS`` maps each kind to the parameters its JSON object carries, in order;
+    ``_KEY`` is the scenario config key. The factory classmethod named after each
+    kind holds its defaults, so a JSON object may leave out any parameter.
+    """
+
+    @classmethod
+    def _params(cls, kind) -> tuple[str, ...]:
+        if not isinstance(kind, str) or kind not in cls._PARAMS:
+            raise ValueError(f"unknown {cls._KEY} kind {kind!r}")
+        return cls._PARAMS[kind]
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, **{k: _json_value(getattr(self, k)) for k in self._PARAMS[self.kind]}}
+
+    @classmethod
+    def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls._KEY} must be a JSON object, got {d!r}")
+        kind = d.get("kind")
+        params = {k: v for k, v in d.items() if k != "kind"}
+        unknown = set(params) - set(cls._params(kind))
+        if unknown:
+            raise ValueError(f"unknown {cls._KEY} keys for kind {kind!r}: {sorted(unknown)}")
+        return getattr(cls, kind)(**params)
+
+
 @dataclass(frozen=True)
-class GFunction:
+class GFunction(_Kinded):
     """Map from treatment-cohort to outcome-cohort SNP-exposure effects."""
 
-    kind: str  # identity | affine | sinusoid | tabulated
+    kind: str
     shift: float = 0.0
     scale: float = 1.0
     amplitude: float = 0.0
     frequency: float = 0.0
     knots: tuple[tuple[float, float], ...] = ()
 
+    _KEY = "g"
+    _PARAMS = {
+        "identity": (),
+        "affine": ("shift", "scale"),
+        "sinusoid": ("amplitude", "frequency"),
+        "tabulated": ("knots",),
+    }
+
     def __post_init__(self):
-        if self.kind not in ("identity", "affine", "sinusoid", "tabulated"):
-            raise ValueError(f"unknown g-function kind {self.kind!r}")
-        _require_finite(self, "shift", "scale", "amplitude", "frequency")
+        self._params(self.kind)
+        _apply_typing(self)
         if self.kind == "tabulated":
             if len(self.knots) < 1:
                 raise ValueError("tabulated g needs at least one knot")
-            if not all(math.isfinite(v) for knot in self.knots for v in knot):
-                raise ValueError("tabulated knots must be finite")
             xs = [x for x, _ in self.knots]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("tabulated knots must be strictly increasing in x")
@@ -89,7 +127,7 @@ class GFunction:
     @classmethod
     def tabulated(cls, knots) -> "GFunction":
         """Piecewise-linear interpolation through ``knots``, clamped at the ends."""
-        return cls(kind="tabulated", knots=tuple((float(x), float(y)) for x, y in knots))
+        return cls(kind="tabulated", knots=knots)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -99,49 +137,30 @@ class GFunction:
             return (x + self.shift) * self.scale
         if self.kind == "sinusoid":
             return self.amplitude * np.sin(self.frequency * x)
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
-        return np.interp(x, xs, ys)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "affine":
-            out.update(shift=self.shift, scale=self.scale)
-        elif self.kind == "sinusoid":
-            out.update(amplitude=self.amplitude, frequency=self.frequency)
-        elif self.kind == "tabulated":
-            out["knots"] = [list(k) for k in self.knots]
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GFunction":
-        kind = d.get("kind")
-        if kind == "identity":
-            return cls.identity()
-        if kind == "affine":
-            return cls.affine(float(d["shift"]), float(d["scale"]))
-        if kind == "sinusoid":
-            return cls.sinusoid(float(d["amplitude"]), float(d["frequency"]))
-        if kind == "tabulated":
-            return cls.tabulated(d["knots"])
-        raise ValueError(f"unknown g-function kind {kind!r}")
+        return np.interp(x, *np.array(self.knots).T)
 
 
 @dataclass(frozen=True)
-class Pleiotropy:
+class Pleiotropy(_Kinded):
     """Distribution of the per-SNP direct effects on the outcome."""
 
-    kind: str  # none | balanced | idiosyncratic_single | idiosyncratic_multi | directional
+    kind: str
     mu: float = 0.0
     tau0: float = 0.0
     n_contaminated: int = 0
 
-    _KINDS = ("none", "balanced", "idiosyncratic_single", "idiosyncratic_multi", "directional")
+    _KEY = "pleiotropy"
+    _PARAMS = {
+        "none": (),
+        "balanced": ("tau0",),
+        "idiosyncratic_single": ("mu", "tau0"),
+        "idiosyncratic_multi": ("mu", "tau0", "n_contaminated"),
+        "directional": ("mu", "tau0"),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown pleiotropy kind {self.kind!r}")
-        _require_finite(self, "mu", "tau0")
+        self._params(self.kind)
+        _apply_typing(self)
         if self.tau0 < 0:
             raise ValueError("tau0 must be nonnegative")
         if self.kind == "idiosyncratic_multi" and self.n_contaminated < 1:
@@ -161,41 +180,13 @@ class Pleiotropy:
         return cls(kind="idiosyncratic_single", mu=mu, tau0=tau0)
 
     @classmethod
-    def idiosyncratic_multi(cls, mu: float = 0.1, tau0: float = 0.02, k: int = 5) -> "Pleiotropy":
-        """``k`` contaminated SNPs drawn without replacement per replicate."""
-        return cls(kind="idiosyncratic_multi", mu=mu, tau0=tau0, n_contaminated=k)
+    def idiosyncratic_multi(cls, mu: float = 0.1, tau0: float = 0.02, n_contaminated: int = 5) -> "Pleiotropy":
+        """``n_contaminated`` contaminated SNPs drawn without replacement per replicate."""
+        return cls(kind="idiosyncratic_multi", mu=mu, tau0=tau0, n_contaminated=n_contaminated)
 
     @classmethod
     def directional(cls, mu: float = 0.05, tau0: float = 0.02) -> "Pleiotropy":
         return cls(kind="directional", mu=mu, tau0=tau0)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("idiosyncratic_single", "idiosyncratic_multi", "directional"):
-            out["mu"] = self.mu
-        if self.kind != "none":
-            out["tau0"] = self.tau0
-        if self.kind == "idiosyncratic_multi":
-            out["n_contaminated"] = self.n_contaminated
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Pleiotropy":
-        kind = d.get("kind")
-        if kind == "none":
-            return cls.none()
-        if kind == "balanced":
-            return cls.balanced(float(d.get("tau0", 0.02)))
-        if kind == "idiosyncratic_single":
-            return cls.idiosyncratic_single(float(d.get("mu", 0.1)), float(d.get("tau0", 0.02)))
-        if kind == "idiosyncratic_multi":
-            return cls.idiosyncratic_multi(
-                float(d.get("mu", 0.1)), float(d.get("tau0", 0.02)),
-                _json_int("n_contaminated", d.get("n_contaminated", 5)),
-            )
-        if kind == "directional":
-            return cls.directional(float(d.get("mu", 0.05)), float(d.get("tau0", 0.02)))
-        raise ValueError(f"unknown pleiotropy kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -214,13 +205,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _apply_typing(self)
         if self.p < 1:
             raise ValueError("p must be positive")
         if self.n < 3:
             raise ValueError("n must be at least 3 to identify the marginal regressions")
         if not (0.0 < self.maf < 1.0):
             raise ValueError("maf must be strictly between 0 and 1")
-        _require_finite(self, "beta0", "gamma_tr_low", "gamma_tr_high")
         if not self.gamma_tr_low < self.gamma_tr_high:
             raise ValueError("gamma_tr_low must be below gamma_tr_high")
         if self.n_replicates < 1:
@@ -233,50 +224,61 @@ class ScenarioConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "beta0": self.beta0,
-            "gamma_tr_low": self.gamma_tr_low,
-            "gamma_tr_high": self.gamma_tr_high,
-            "maf": self.maf,
-            "g": self.g.to_json_dict(),
-            "pleiotropy": self.pleiotropy.to_json_dict(),
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-        }
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {
-            "p", "n", "beta0", "gamma_tr_low", "gamma_tr_high",
-            "maf", "g", "pleiotropy", "n_replicates", "seed",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in d.items() if k not in ("g", "pleiotropy")}
-        for key in ("p", "n", "n_replicates", "seed"):
-            if key in kwargs:
-                kwargs[key] = _json_int(key, kwargs[key])
-        if "g" in d:
-            kwargs["g"] = GFunction.from_json_dict(d["g"])
-        if "pleiotropy" in d:
-            kwargs["pleiotropy"] = Pleiotropy.from_json_dict(d["pleiotropy"])
-        return cls(**kwargs)
-
-
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
+        nested = {"g": GFunction, "pleiotropy": Pleiotropy}
+        return cls(**{k: nested[k].from_json_dict(v) if k in nested else v for k, v in d.items()})
 
 
 def _json_int(key: str, v) -> int:
-    """A JSON integer, or an integral float; booleans and anything else raise."""
-    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+    """An integer, or an integral float; booleans and anything else raise."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())):
         raise ValueError(f"{key} must be an integer, got {v!r}")
     return int(v)
+
+
+def _json_float(key: str, v) -> float:
+    """A finite number as a float; booleans, strings and anything else raise."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    if not (abs(v) <= sys.float_info.max):  # also false for NaN
+        raise ValueError(f"{key} must be finite, got {v!r}")
+    return float(v)
+
+
+def _json_knots(key: str, knots) -> tuple[tuple[float, float], ...]:
+    """``[x, y]`` pairs, each value under the number rule."""
+    try:
+        pairs = [(x, y) for x, y in knots]
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a list of [x, y] pairs") from None
+    return tuple((_json_float(key, x), _json_float(key, y)) for x, y in pairs)
+
+
+# Each field's rule, by its annotation (a string under ``from __future__ import annotations``).
+_TYPE_RULES = {"int": _json_int, "float": _json_float, "tuple[tuple[float, float], ...]": _json_knots}
+
+
+def _apply_typing(obj) -> None:
+    """Pass every field of the frozen dataclass ``obj`` that has a rule through it."""
+    for f in fields(obj):
+        rule = _TYPE_RULES.get(f.type)
+        if rule is not None:
+            object.__setattr__(obj, f.name, rule(f.name, getattr(obj, f.name)))
+
+
+def _json_value(v):
+    """A config field as JSON: nested configs as objects, knots as [x, y] arrays."""
+    if isinstance(v, _Kinded):
+        return v.to_json_dict()
+    if isinstance(v, tuple):
+        return [list(k) for k in v]
+    return v
 
 
 class ReplicateTruth(NamedTuple):
@@ -407,14 +409,7 @@ class MethodPerformance:
     n_failed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "bias_pct": self.bias_pct,
-            "rmse_pct": self.rmse_pct,
-            "ci_length_pct": self.ci_length_pct,
-            "coverage_pct": self.coverage_pct,
-            "n_replicates_used": self.n_replicates_used,
-            "n_failed": self.n_failed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -432,12 +427,15 @@ class ScenarioSummary:
 def thread_count() -> int:
     """Worker count for replicate execution; the env var caps and overrides."""
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    return max(1, min(4, os.cpu_count() or 1))
+    if env is None:
+        return max(1, min(4, os.cpu_count() or 1))
+    try:
+        count = int(env)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+    if count > MAX_THREADS:
+        raise ValueError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {env!r}")
+    return max(1, count)
 
 
 def _replicate_results(cfg: ScenarioConfig, methods, boot: BootstrapConfig, r: int) -> dict:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import HarmonizedTriple, Method, SnpRecord
+from mrhetero import HarmonizedTriple, Method, SnpRecord, simulation
 from mrhetero.cli import _parse_methods, main
 
 BETA0 = -0.3
@@ -325,6 +325,8 @@ class TestUnreadableInput:
                             b"rs1\xe9\tA\tG\t0.05\t0.01\n")
         elif case == "latin1_config":
             bad.write_bytes(b'{"p": 10, "note": "caf\xe9"}')
+        elif case == "long_integer_config":  # beyond Python's int-from-text digit limit
+            bad.write_text('{"p": 1' + "0" * 5000 + "}")
         elif case.startswith("dir_"):
             bad.mkdir()
         het = ["het-test", "--treatment", str(bad), "--outcome-exposure", oug]
@@ -337,11 +339,12 @@ class TestUnreadableInput:
             "latin1_config": sim + ["--config", str(bad)],
             "missing_config": sim + ["--config", str(bad)],
             "missing_g_table": sim + ["--g", f"table:{bad}"],
+            "long_integer_config": sim + ["--config", str(bad)],
         }[case]
 
     @pytest.mark.parametrize("case", ["latin1_tsv", "dir_treatment", "dir_config",
                                       "dir_g_table", "latin1_config", "missing_config",
-                                      "missing_g_table"])
+                                      "missing_g_table", "long_integer_config"])
     def test_exit_2_with_one_record_naming_the_file(self, tmp_path, capsys, case):
         path, argv = self.argv(case, tmp_path)
         code, out, err = run_cli(capsys, *argv)
@@ -360,9 +363,10 @@ def test_lenient_het_test_drops_a_row_that_is_not_utf8(tmp_path, capsys):
     without = tmp_path / "without.tsv"
     without.write_bytes(b"".join(lines[:3] + lines[4:]))
     het = ["het-test", "--lenient", "--outcome-exposure", oug, "--treatment"]
-    with pytest.warns(UserWarning, match="dropped 1 malformed"):
-        code, out, _ = run_cli(capsys, *het, str(latin1))
+    code, out, err = run_cli(capsys, *het, str(latin1))
     assert code == 0
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"warning": "UserWarning", "message": f"dropped 1 malformed rows from {latin1}"}]
     assert out == run_cli(capsys, *het, str(without))[1]
 
 
@@ -471,6 +475,16 @@ class TestSimulate:
          "n_contaminated must be an integer"),
         ({"pleiotropy": {"kind": "idiosyncratic_multi", "n_contaminated": True}},
          "n_contaminated must be an integer"),
+        ({"g": 5}, "g must be a JSON object, got 5"),
+        ({"pleiotropy": "none"}, "pleiotropy must be a JSON object, got 'none'"),
+        ({"pleiotropy": {"kind": "balanced", "tau": 0.5}},
+         "unknown pleiotropy keys for kind 'balanced': ['tau']"),
+        ({"beta0": True}, "beta0 must be a number, got True"),
+        ({"beta0": "0.5"}, "beta0 must be a number, got '0.5'"),
+        ({"g": {"kind": "affine", "shift": "0.1", "scale": 1}}, "shift must be a number, got '0.1'"),
+        ({"g": {"kind": "tabulated", "knots": [[0, 1], [1, True]]}}, "knots must be a number, got True"),
+        ({"g": {"kind": "affine", "shift": 0.1}}, "'scale'"),
+        ({"g": {"kind": "tabulated"}}, "'knots'"),
     ])
     def test_bad_config_parameter_exit_2_naming_it(self, tmp_path, capsys, part, message):
         cfg_path = tmp_path / "scn.json"
@@ -490,6 +504,19 @@ class TestSimulate:
         cfg = json.loads(out)["config"]
         assert cfg["pleiotropy"] == {"kind": "directional", "mu": 0.05, "tau0": 0.02}
         assert cfg["n"] == 500  # explicit flag wins over the scenario default
+
+    @pytest.mark.parametrize("scenario,pleiotropy", [
+        ("i", {"kind": "none"}),
+        ("ii", {"kind": "balanced", "tau0": 0.02}),
+        ("iii", {"kind": "idiosyncratic_single", "mu": 0.1, "tau0": 0.02}),
+        ("iv", {"kind": "idiosyncratic_multi", "mu": 0.1, "tau0": 0.02, "n_contaminated": 5}),
+        ("v", {"kind": "directional", "mu": 0.05, "tau0": 0.02}),
+    ])
+    def test_scenario_pleiotropy_echo(self, capsys, scenario, pleiotropy):
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", scenario, "--replicates", "2",
+                               "--p", "6", "--n", "300", "--boot", "10", "--seed", "1")
+        assert code == 0
+        assert f'"pleiotropy": {json.dumps(pleiotropy)},' in out
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "scn.json"
@@ -556,6 +583,26 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err) == {
             "error": "DataError", "message": "MR_HETERO_THREADS must be an integer, got 'abc'"}
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_thread_count_above_the_maximum_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
+        # The package's name ``bootstrap`` is the function, not its module.
+        monkeypatch.setattr(sys.modules["mrhetero.bootstrap"], "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("MR_HETERO_THREADS", "1000000")
+        tr, oug, ouy = write_inputs(tmp_path)
+        argv = {
+            "simulate": ["--scenario", "i", "--replicates", "2", "--p", "5", "--n", "300"],
+            "analyze": ["--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, "--boot", "20")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataError", "message": "MR_HETERO_THREADS must be at most 256, got '1000000'"}
         assert out == ""
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):

@@ -203,6 +203,16 @@ class TestWeightedMedianRatio:
             expected = weighted_median_ratio(rest)
         assert got == expected
 
+    def test_weights_are_even_in_the_exposure_association(self, rng):
+        # An allele flip negates gamma_tr and capgamma_ou; the terms must not
+        # change in any bit, or the allele-flip invariance of the estimate fails.
+        g, c = rng.uniform(0.2, 1.0, 2000), rng.uniform(-1.0, 1.0, 2000)
+        se = rng.uniform(0.01, 0.1, (3, 2000))
+        a, flipped = (TripleArrays([f"rs{j}" for j in range(2000)], s * g, se[0], g, se[1], s * c, se[2])
+                      for s in (1.0, -1.0))
+        for x, y in zip(kernels._median_terms(a), kernels._median_terms(flipped)):
+            assert np.array_equal(x, y)
+
     def test_within_ratio_range(self, rng):
         for _ in range(20):
             p = int(rng.integers(1, 12))

@@ -58,9 +58,13 @@ class TestGFunction:
             GFunction.tabulated(knots)
 
     def test_json_round_trip(self):
-        for g in (GFunction.identity(), GFunction.affine(0.1, 0.5),
-                  GFunction.sinusoid(0.2, 15.7), GFunction.tabulated([(0, 1), (1, 2)])):
-            assert GFunction.from_json_dict(g.to_json_dict()) == g
+        pleiotropies = ("none", "balanced", "idiosyncratic_single", "idiosyncratic_multi", "directional")
+        for obj in (GFunction.identity(), GFunction.affine(0.1, 0.5),
+                    GFunction.sinusoid(0.2, 15.7), GFunction.tabulated([(0, 1), (1, 2)]),
+                    *(getattr(Pleiotropy, kind)() for kind in pleiotropies)):
+            assert type(obj).from_json_dict(obj.to_json_dict()) == obj
+        for kind in pleiotropies:
+            assert Pleiotropy.from_json_dict({"kind": kind}) == getattr(Pleiotropy, kind)()
 
 
 class TestConfig:
@@ -74,8 +78,8 @@ class TestConfig:
 
     def test_more_contaminated_snps_than_snps_rejected(self):
         with pytest.raises(ValueError, match=r"n_contaminated \(5\) must not exceed p \(3\)"):
-            ScenarioConfig(p=3, pleiotropy=Pleiotropy.idiosyncratic_multi(k=5))
-        ScenarioConfig(p=5, pleiotropy=Pleiotropy.idiosyncratic_multi(k=5))
+            ScenarioConfig(p=3, pleiotropy=Pleiotropy.idiosyncratic_multi(n_contaminated=5))
+        ScenarioConfig(p=5, pleiotropy=Pleiotropy.idiosyncratic_multi(n_contaminated=5))
 
     @pytest.mark.parametrize("key", ["beta0", "gamma_tr_low", "gamma_tr_high"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -101,6 +105,36 @@ class TestConfig:
         d = {"kind": "idiosyncratic_multi", "n_contaminated": value}
         with pytest.raises(ValueError, match="n_contaminated must be an integer"):
             Pleiotropy.from_json_dict(d)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ScenarioConfig(beta0=True), "beta0 must be a number, got True"),
+        (lambda: ScenarioConfig(maf="0.3"), "maf must be a number, got '0.3'"),
+        (lambda: ScenarioConfig(p=2.5), "p must be an integer, got 2.5"),
+        (lambda: ScenarioConfig(seed=None), "seed must be an integer, got None"),
+        (lambda: GFunction.affine("0.1", 0.5), "shift must be a number, got '0.1'"),
+        (lambda: GFunction.tabulated([(0, 1), (1, True)]), "knots must be a number, got True"),
+        (lambda: GFunction.tabulated([(0, 1, 2)]), "knots must be a list of [x, y] pairs"),
+        (lambda: GFunction.tabulated(5), "knots must be a list of [x, y] pairs"),
+        (lambda: Pleiotropy.balanced(tau0=False), "tau0 must be a number, got False"),
+        (lambda: Pleiotropy.directional(mu=10**400), "mu must be finite"),
+        (lambda: Pleiotropy.idiosyncratic_multi(n_contaminated="3"), "n_contaminated must be an integer"),
+    ])
+    def test_constructors_apply_the_json_typing_rule(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert message in str(info.value)
+
+    def test_numbers_are_stored_as_floats(self):
+        cfg = ScenarioConfig.from_json_dict(
+            {"beta0": 1, "p": 4.0, "g": {"kind": "tabulated", "knots": [[0, 1]]},
+             "pleiotropy": {"kind": "idiosyncratic_multi", "mu": 1, "n_contaminated": 2.0}})
+        assert cfg.to_json_dict() == {
+            **ScenarioConfig().to_json_dict(), "beta0": 1.0, "p": 4,
+            "g": {"kind": "tabulated", "knots": [[0.0, 1.0]]},
+            "pleiotropy": {"kind": "idiosyncratic_multi", "mu": 1.0, "tau0": 0.02, "n_contaminated": 2},
+        }
+        values = [cfg.beta0, cfg.pleiotropy.mu, *cfg.g.knots[0], cfg.p, cfg.pleiotropy.n_contaminated]
+        assert [type(v) for v in values] == [float] * 4 + [int] * 2
 
     def test_integral_float_contaminated_count_accepted(self):
         d = {"kind": "idiosyncratic_multi", "n_contaminated": 3.0}
@@ -311,6 +345,13 @@ class TestRunScenario:
 
 
 class TestThreadCount:
+    def test_env_above_the_maximum_rejected(self, monkeypatch):
+        monkeypatch.setenv("MR_HETERO_THREADS", str(simulation.MAX_THREADS))
+        assert thread_count() == simulation.MAX_THREADS == 256
+        monkeypatch.setenv("MR_HETERO_THREADS", "1000000")
+        with pytest.raises(ValueError, match="MR_HETERO_THREADS must be at most 256, got '1000000'"):
+            thread_count()
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MR_HETERO_THREADS", "7")
         assert thread_count() == 7
