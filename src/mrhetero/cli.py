@@ -112,9 +112,12 @@ def _load_g_table(path: str) -> GFunction:
 
 
 def _round_doc(obj):
-    """Round every float in a JSON-style document to 6 significant figures."""
+    """Round every float in a JSON-style document to 6 significant figures.
+
+    A non-finite float becomes ``None``: JSON (RFC 8259) has no NaN or infinity.
+    """
     if isinstance(obj, float):
-        return float(f"{obj:.{SIG_FIGURES}g}")
+        return float(f"{obj:.{SIG_FIGURES}g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_doc(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,7 +127,7 @@ def _round_doc(obj):
 
 def _emit(doc_json: dict, tsv_text: str | None, args) -> None:
     if args.output_format == "json":
-        text = json.dumps(doc_json) + "\n"
+        text = json.dumps(doc_json, allow_nan=False) + "\n"
     else:
         if tsv_text is None:
             raise DataError("this command has no TSV form")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,75 +124,50 @@ def _l1_outcome_fit(a: TripleArrays) -> WeightedPairs:
     return WeightedPairs(a.gamma_tr, a.capgamma_ou, float(a.se_gamma_ou.min()) / a.se_gamma_ou)
 
 
-def _mr_wald_point(a: TripleArrays) -> tuple[float, dict]:
-    num = kernels.wls_origin(_outcome_fit(a))
-    den = kernels.wls_origin(_exposure_fit(a))
-    beta = _ratio_guard(num, den, a, "MrWald")
-    return beta, {"numerator_slope": num, "denominator_slope": den}
+class _Fit(NamedTuple):
+    """One regression of a method, by its point kernel's name on :mod:`kernels`.
+
+    The kernel and its counted form ``counted_<kernel>`` are looked up when
+    called: the benchmark's traced run (bench/spans.py) wraps the point
+    kernels on :mod:`kernels` by attribute.
+    """
+
+    kernel: str
+    build: Callable  # the fit's problem from the panel
+
+    def point(self, a: TripleArrays) -> tuple[float, float | None]:
+        """The fit's slope on the panel and its intercept (``None`` without one)."""
+        out = getattr(kernels, self.kernel)(self.build(a))
+        return out if isinstance(out, tuple) else (out, None)
 
 
-def _mr_wald_r_point(a: TripleArrays) -> tuple[float, dict]:
-    den = kernels.l1_origin(_l1_exposure_fit(a))
-    num = kernels.l1_origin(_l1_outcome_fit(a))
-    beta = _ratio_guard(num, den, a, "MrWaldR")
-    return beta, {"numerator_slope": num, "denominator_slope": den}
-
-
-def _mr_wald_d_point(a: TripleArrays) -> tuple[float, dict]:
-    num, num_int = kernels.wls_intercept(_outcome_fit(a))
-    den, den_int = kernels.wls_intercept(_exposure_fit(a))
-    beta = _ratio_guard(num, den, a, "MrWaldD")
-    return beta, {
-        "numerator_slope": num,
-        "denominator_slope": den,
-        "numerator_intercept": num_int,
-        "denominator_intercept": den_int,
-    }
-
-
-def _ivw_point(a: TripleArrays) -> tuple[float, dict]:
-    return kernels.wls_origin(_outcome_fit(a)), {}
-
-
-def _divw_point(a: TripleArrays) -> tuple[float, dict]:
-    beta = kernels.divw(a)
-    return beta, {"analytic_variance": kernels.divw_variance(a, beta)}
-
-
-def _egger_point(a: TripleArrays) -> tuple[float, dict]:
-    slope, intercept = kernels.wls_intercept(_outcome_fit(a))
-    return slope, {"intercept": intercept}
-
-
-def _weighted_median_point(a: TripleArrays) -> tuple[float, dict]:
-    return kernels.weighted_median_ratio(a), {}
-
-
-_POINT = {
-    Method.MR_WALD: _mr_wald_point,
-    Method.MR_WALD_R: _mr_wald_r_point,
-    Method.MR_WALD_D: _mr_wald_d_point,
-    Method.IVW: _ivw_point,
-    Method.DIVW: _divw_point,
-    Method.EGGER: _egger_point,
-    Method.WEIGHTED_MEDIAN: _weighted_median_point,
+# Each bootstrapped method as its numerator fit and, for a ratio method, its
+# denominator fit (``None`` otherwise). Divw is not bootstrapped: it reports
+# its analytic variance.
+_FITS = {
+    Method.MR_WALD: (_Fit("wls_origin", _outcome_fit), _Fit("wls_origin", _exposure_fit)),
+    Method.MR_WALD_R: (_Fit("l1_origin", _l1_outcome_fit), _Fit("l1_origin", _l1_exposure_fit)),
+    Method.MR_WALD_D: (_Fit("wls_intercept", _outcome_fit), _Fit("wls_intercept", _exposure_fit)),
+    Method.IVW: (_Fit("wls_origin", _outcome_fit), None),
+    Method.EGGER: (_Fit("wls_intercept", _outcome_fit), None),
+    Method.WEIGHTED_MEDIAN: (_Fit("weighted_median_ratio", as_triple_arrays), None),
 }
 
 
-# Each bootstrapped method as the counted kernels behind it: the numerator
-# fit, and the denominator fit of a ratio method (``None`` otherwise). A fit
-# is the counted kernel and the function building its problem from the panel.
-_COUNTED = {
-    Method.MR_WALD: ((kernels.counted_wls_origin, _outcome_fit),
-                     (kernels.counted_wls_origin, _exposure_fit)),
-    Method.MR_WALD_R: ((kernels.counted_l1_origin, _l1_outcome_fit),
-                       (kernels.counted_l1_origin, _l1_exposure_fit)),
-    Method.MR_WALD_D: ((kernels.counted_wls_intercept, _outcome_fit),
-                       (kernels.counted_wls_intercept, _exposure_fit)),
-    Method.IVW: ((kernels.counted_wls_origin, _outcome_fit), None),
-    Method.EGGER: ((kernels.counted_wls_intercept, _outcome_fit), None),
-    Method.WEIGHTED_MEDIAN: ((kernels.counted_weighted_median_ratio, as_triple_arrays), None),
-}
+def _point(method: Method, a: TripleArrays) -> tuple[float, dict]:
+    """``method``'s point estimate on the panel and its auxiliary values."""
+    if method is Method.DIVW:
+        beta = kernels.divw(a)
+        return beta, {"analytic_variance": kernels.divw_variance(a, beta)}
+    num_fit, den_fit = _FITS[method]
+    num, num_int = num_fit.point(a)
+    if den_fit is None:
+        return num, ({} if num_int is None else {"intercept": num_int})
+    den, den_int = den_fit.point(a)
+    aux = {"numerator_slope": num, "denominator_slope": den}
+    if num_int is not None:
+        aux.update(numerator_intercept=num_int, denominator_intercept=den_int)
+    return _ratio_guard(num, den, a, method.value), aux
 
 
 def _counted_evaluator(methods, a: TripleArrays):
@@ -204,8 +180,8 @@ def _counted_evaluator(methods, a: TripleArrays):
     The few rows whose count form is ill-conditioned (a ratio or a design
     near its guard) are computed by the point estimator on the resample.
     """
-    keys = list(dict.fromkeys(f for m in methods for f in _COUNTED[m] if f is not None))
-    counted = [kernel(build(a)) for kernel, build in keys]
+    keys = list(dict.fromkeys(f for m in methods for f in _FITS[m] if f is not None))
+    counted = [getattr(kernels, "counted_" + f.kernel)(f.build(a)) for f in keys]
     abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
     ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
 
@@ -216,7 +192,7 @@ def _counted_evaluator(methods, a: TripleArrays):
             scale = None
             rows = []
             for m in methods:
-                num, den = _COUNTED[m]
+                num, den = _FITS[m]
                 beta, passed, resolved = fits[num]
                 if den is not None:
                     if scale is None:
@@ -239,19 +215,19 @@ def _counted_evaluator(methods, a: TripleArrays):
 
 def _point_on_resample(method: Method, sample: TripleArrays) -> tuple[float, bool]:
     try:
-        return _POINT[method](sample)[0], True
+        return _point(method, sample)[0], True
     except _RESAMPLE_FAILURES:
         return 0.0, False
 
 
 def point_estimator(method: Method):
     """Plain callable ``triples -> beta`` for the given method (bootstrap-ready)."""
-    fn = _POINT[Method(method)]
+    method = Method(method)
 
     def call(triples) -> float:
-        return fn(as_triple_arrays(triples))[0]
+        return _point(method, as_triple_arrays(triples))[0]
 
-    call.__name__ = f"point_{Method(method).value}"
+    call.__name__ = f"point_{method.value}"
     return call
 
 
@@ -283,7 +259,7 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     out: list = []
     for method in methods:
         try:
-            beta, aux = _POINT[method](a)
+            beta, aux = _point(method, a)
         except MrHeteroError as exc:
             out.append(exc)
             continue
@@ -295,9 +271,7 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     if boot is None:
         return out
 
-    booted = [
-        k for k, e in enumerate(out) if isinstance(e, MrEstimate) and e.method is not Method.DIVW
-    ]
+    booted = [k for k, e in enumerate(out) if isinstance(e, MrEstimate) and e.method in _FITS]
     if not booted:
         return out
     try:

@@ -24,13 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _replicate_rng, stream_seed
-from .errors import (
-    DegenerateDesign,
-    DegenerateInput,
-    MrHeteroError,
-    TooManyFailures,
-    VanishingDenominator,
-)
+from .errors import DegenerateInput, MrHeteroError
 from .estimators import Method, estimate_many
 from .summary_data import TripleArrays, blocked_regressions
 
@@ -49,7 +43,13 @@ MAX_THREADS = 256
 #: do not depend on it; only the order of summation does.
 _BLOCK_CELLS = 2**18
 
-_METHOD_FAILURES = (VanishingDenominator, DegenerateDesign, DegenerateInput, TooManyFailures)
+#: Largest accepted ``p``, beyond any instrument set: each thread's bootstrap
+#: chunk holds a 20 x ``p`` count matrix, 160 MB at this bound.
+MAX_P = 10**6
+
+#: Largest accepted ``n``, beyond any GWAS cohort: a replicate holds several
+#: length-``n`` float64 noise vectors, 80 MB each at this bound.
+MAX_N = 10**7
 
 
 class _Kinded:
@@ -57,7 +57,8 @@ class _Kinded:
 
     ``_PARAMS`` maps each kind to the parameters its JSON object carries, in order;
     ``_KEY`` is the scenario config key. The factory classmethod named after each
-    kind holds its defaults, so a JSON object may leave out any parameter.
+    kind holds its defaults, so a JSON object may leave out any parameter. A
+    parameter its kind does not take must keep its dataclass default.
     """
 
     @classmethod
@@ -65,6 +66,14 @@ class _Kinded:
         if not isinstance(kind, str) or kind not in cls._PARAMS:
             raise ValueError(f"unknown {cls._KEY} kind {kind!r}")
         return cls._PARAMS[kind]
+
+    def __post_init__(self):
+        taken = self._params(self.kind)
+        _apply_typing(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in (*taken, "kind") and value != f.default:
+                raise ValueError(f"{self._KEY} kind {self.kind!r} takes no {f.name}, got {value!r}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, **{k: _json_value(getattr(self, k)) for k in self._PARAMS[self.kind]}}
@@ -101,8 +110,7 @@ class GFunction(_Kinded):
     }
 
     def __post_init__(self):
-        self._params(self.kind)
-        _apply_typing(self)
+        super().__post_init__()
         if self.kind == "tabulated":
             if len(self.knots) < 1:
                 raise ValueError("tabulated g needs at least one knot")
@@ -159,8 +167,7 @@ class Pleiotropy(_Kinded):
     }
 
     def __post_init__(self):
-        self._params(self.kind)
-        _apply_typing(self)
+        super().__post_init__()
         if self.tau0 < 0:
             raise ValueError("tau0 must be nonnegative")
         if self.kind == "idiosyncratic_multi" and self.n_contaminated < 1:
@@ -208,8 +215,12 @@ class ScenarioConfig:
         _apply_typing(self)
         if self.p < 1:
             raise ValueError("p must be positive")
+        if self.p > MAX_P:
+            raise ValueError(f"p must be at most {MAX_P}, got {self.p}")
         if self.n < 3:
             raise ValueError("n must be at least 3 to identify the marginal regressions")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}, got {self.n}")
         if not (0.0 < self.maf < 1.0):
             raise ValueError("maf must be strictly between 0 and 1")
         if not self.gamma_tr_low < self.gamma_tr_high:
@@ -443,15 +454,11 @@ def _replicate_results(cfg: ScenarioConfig, methods, boot: BootstrapConfig, r: i
     # Per-replicate bootstrap stream, derived on a branch of the bootstrap
     # seed disjoint from the data streams.
     boot_r = replace(boot, seed=stream_seed(boot.seed, r, domain=1))
-    out = {}
-    for m, est in zip(methods, estimate_many(methods, arrays, boot_r)):
-        if isinstance(est, _METHOD_FAILURES):
-            out[m] = None
-        elif isinstance(est, MrHeteroError):
-            raise est
-        else:
-            out[m] = (est.beta, est.ci_low, est.ci_high)
-    return out
+    # Every error estimate_many returns is the method failing on this replicate.
+    return {
+        m: None if isinstance(est, MrHeteroError) else (est.beta, est.ci_low, est.ci_high)
+        for m, est in zip(methods, estimate_many(methods, arrays, boot_r))
+    }
 
 
 def run_scenario(

@@ -551,6 +551,21 @@ class TestSimulate:
         assert "p must be positive" in record["message"]
         assert out == ""
 
+    @pytest.mark.parametrize("key,value", [("p", simulation.MAX_P + 1), ("n", simulation.MAX_N + 1),
+                                           ("p", 10**15), ("n", 10**12)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_size_above_its_maximum_exit_2(self, tmp_path, capsys, key, value, source):
+        # Rejected with the config, before any replicate is generated.
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        argv = [f"--{key}", str(value)] if source == "flag" else ["--config", str(cfg_path)]
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert f"{key} must be at most" in record["message"]
+        assert out == ""
+
     @pytest.mark.parametrize("flag,value", [("--boot", "1"), ("--level", "1.5")])
     def test_bad_bootstrap_setting_exit_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "1",
@@ -625,6 +640,38 @@ class TestSimulate:
         for metric in ("bias_pct", "rmse_pct", "ci_length_pct", "coverage_pct"):
             for name, cell in zip(header[1:], table[metric]):
                 assert float(cell) == summary[name][metric]
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,argv,path,tsv_line", [
+    ("het-test", ["--treatment", "huge.tsv", "--outcome-exposure", "plain.tsv"],
+     ["het_test", "statistic"], "statistic\t"),
+    ("simulate", ["--p", "1", "--n", "300", "--replicates", "2", "--boot", "10", "--methods", "MrWald"],
+     ["summary", "methods", "MrWald", "bias_pct"], "bias_pct\t"),
+], ids=["het-test", "simulate"])
+def test_non_finite_values_print_as_null(tmp_path, capsys, monkeypatch, command, argv, path, tsv_line):
+    # One SNP at beta 1e300, se 1e-300 makes the homogeneity statistic
+    # infinite; a method failing on every replicate has no bias.
+    header = "snp\teffect_allele\tother_allele\tbeta\tse\n"
+    (tmp_path / "huge.tsv").write_text(header + "rs1\tA\tG\t1e300\t1e-300\n")
+    (tmp_path / "plain.tsv").write_text(header + "rs1\tA\tG\t0.1\t0.01\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    value = _strict_json(out)
+    for key in path:
+        value = value[key]
+    assert value is None
+    code, out, _ = run_cli(capsys, command, *argv, "--output-format", "tsv")
+    assert code == 0
+    assert tsv_line in out.split("\n")
 
 
 @pytest.mark.parametrize("spelling,method", [

@@ -254,6 +254,20 @@ class TestEstimateMany:
         with pytest.raises(DegenerateDesign):
             estimate(Method.EGGER, one, boot)
 
+    def test_auxiliary_keys_of_every_method(self, rng):
+        t, _, _ = random_triples(rng, 20, noise=0.02)
+        out = estimate_many(list(Method), t, BootstrapConfig(n_boot=40, seed=3))
+        ratio = ["numerator_slope", "denominator_slope"]
+        assert {e.method: list(e.auxiliary) for e in out} == {
+            Method.MR_WALD: [*ratio, "bootstrap_failed"],
+            Method.MR_WALD_R: [*ratio, "bootstrap_failed"],
+            Method.MR_WALD_D: [*ratio, "numerator_intercept", "denominator_intercept", "bootstrap_failed"],
+            Method.IVW: ["bootstrap_failed"],
+            Method.DIVW: ["analytic_variance"],
+            Method.EGGER: ["intercept", "bootstrap_failed"],
+            Method.WEIGHTED_MEDIAN: ["bootstrap_failed"],
+        }
+
     def test_without_bootstrap_gives_points(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)
         assert estimate_many(list(Method), t) == [estimate(m, t) for m in Method]

@@ -118,11 +118,22 @@ class TestConfig:
         (lambda: Pleiotropy.balanced(tau0=False), "tau0 must be a number, got False"),
         (lambda: Pleiotropy.directional(mu=10**400), "mu must be finite"),
         (lambda: Pleiotropy.idiosyncratic_multi(n_contaminated="3"), "n_contaminated must be an integer"),
+        (lambda: GFunction(kind="identity", shift=5.0), "g kind 'identity' takes no shift, got 5.0"),
+        (lambda: GFunction(kind="affine", shift=0.1, scale=0.5, knots=[(0, 1)]), "takes no knots"),
+        (lambda: Pleiotropy(kind="none", mu=3.0), "pleiotropy kind 'none' takes no mu, got 3.0"),
+        (lambda: Pleiotropy(kind="balanced", n_contaminated=2), "takes no n_contaminated, got 2"),
     ])
     def test_constructors_apply_the_json_typing_rule(self, make, message):
         with pytest.raises(ValueError) as info:
             make()
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("key,bound", [("p", simulation.MAX_P), ("n", simulation.MAX_N)])
+    def test_sizes_have_a_maximum(self, key, bound):
+        # Only configs are built here: no replicate is generated.
+        assert getattr(ScenarioConfig(**{key: bound}), key) == bound
+        with pytest.raises(ValueError, match=f"{key} must be at most {bound}, got {bound + 1}"):
+            ScenarioConfig(**{key: bound + 1})
 
     def test_numbers_are_stored_as_floats(self):
         cfg = ScenarioConfig.from_json_dict(
