@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -124,34 +123,28 @@ def _l1_outcome_fit(a: TripleArrays) -> WeightedPairs:
     return WeightedPairs(a.gamma_tr, a.capgamma_ou, float(a.se_gamma_ou.min()) / a.se_gamma_ou)
 
 
-class _Fit(NamedTuple):
-    """One regression of a method, by its point kernel's name on :mod:`kernels`.
-
-    The kernel and its counted form ``counted_<kernel>`` are looked up when
-    called: the benchmark's traced run (bench/spans.py) wraps the point
-    kernels on :mod:`kernels` by attribute.
-    """
-
-    kernel: str
-    build: Callable  # the fit's problem from the panel
-
-    def point(self, a: TripleArrays) -> tuple[float, float | None]:
-        """The fit's slope on the panel and its intercept (``None`` without one)."""
-        out = getattr(kernels, self.kernel)(self.build(a))
-        return out if isinstance(out, tuple) else (out, None)
-
-
 # Each bootstrapped method as its numerator fit and, for a ratio method, its
-# denominator fit (``None`` otherwise). Divw is not bootstrapped: it reports
-# its analytic variance.
+# denominator fit (``None`` otherwise). A fit is the name of its point kernel
+# on ``kernels``, whose counted form is the ``counted_`` namesake, and the
+# function building its problem from the panel. Kernels are looked up by
+# name when called: the benchmark's traced run (bench/spans.py) wraps the
+# point kernels on ``kernels`` by attribute. Divw is not bootstrapped: it
+# reports its analytic variance.
 _FITS = {
-    Method.MR_WALD: (_Fit("wls_origin", _outcome_fit), _Fit("wls_origin", _exposure_fit)),
-    Method.MR_WALD_R: (_Fit("l1_origin", _l1_outcome_fit), _Fit("l1_origin", _l1_exposure_fit)),
-    Method.MR_WALD_D: (_Fit("wls_intercept", _outcome_fit), _Fit("wls_intercept", _exposure_fit)),
-    Method.IVW: (_Fit("wls_origin", _outcome_fit), None),
-    Method.EGGER: (_Fit("wls_intercept", _outcome_fit), None),
-    Method.WEIGHTED_MEDIAN: (_Fit("weighted_median_ratio", as_triple_arrays), None),
+    Method.MR_WALD: (("wls_origin", _outcome_fit), ("wls_origin", _exposure_fit)),
+    Method.MR_WALD_R: (("l1_origin", _l1_outcome_fit), ("l1_origin", _l1_exposure_fit)),
+    Method.MR_WALD_D: (("wls_intercept", _outcome_fit), ("wls_intercept", _exposure_fit)),
+    Method.IVW: (("wls_origin", _outcome_fit), None),
+    Method.EGGER: (("wls_intercept", _outcome_fit), None),
+    Method.WEIGHTED_MEDIAN: (("weighted_median_ratio", as_triple_arrays), None),
 }
+
+
+def _fit_point(fit, a: TripleArrays) -> tuple[float, float | None]:
+    """The fit's slope on the panel and its intercept (``None`` without one)."""
+    kernel, build = fit
+    out = getattr(kernels, kernel)(build(a))
+    return out if isinstance(out, tuple) else (out, None)
 
 
 def _point(method: Method, a: TripleArrays) -> tuple[float, dict]:
@@ -160,10 +153,10 @@ def _point(method: Method, a: TripleArrays) -> tuple[float, dict]:
         beta = kernels.divw(a)
         return beta, {"analytic_variance": kernels.divw_variance(a, beta)}
     num_fit, den_fit = _FITS[method]
-    num, num_int = num_fit.point(a)
+    num, num_int = _fit_point(num_fit, a)
     if den_fit is None:
         return num, ({} if num_int is None else {"intercept": num_int})
-    den, den_int = den_fit.point(a)
+    den, den_int = _fit_point(den_fit, a)
     aux = {"numerator_slope": num, "denominator_slope": den}
     if num_int is not None:
         aux.update(numerator_intercept=num_int, denominator_intercept=den_int)
@@ -181,7 +174,7 @@ def _counted_evaluator(methods, a: TripleArrays):
     near its guard) are computed by the point estimator on the resample.
     """
     keys = list(dict.fromkeys(f for m in methods for f in _FITS[m] if f is not None))
-    counted = [getattr(kernels, "counted_" + f.kernel)(f.build(a)) for f in keys]
+    counted = [getattr(kernels, "counted_" + kernel)(build(a)) for kernel, build in keys]
     abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
     ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
 
