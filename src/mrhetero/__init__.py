@@ -6,7 +6,7 @@ test, bootstrap inference, baseline MR methods, and a seeded Monte-Carlo
 benchmark harness.
 """
 
-from .bootstrap import BootstrapConfig, BootstrapResult, CiKind, bootstrap, bootstrap_many
+from .bootstrap import BootstrapConfig, BootstrapResult, CiKind, bootstrap
 from .errors import (
     DataError,
     DegenerateDesign,
@@ -101,7 +101,6 @@ __all__ = [
     "as_snp_arrays",
     "as_triple_arrays",
     "bootstrap",
-    "bootstrap_many",
     "chisq_sf",
     "divw",
     "divw_variance",

@@ -6,18 +6,20 @@ resample indices from an independent child stream of the configured seed,
 so results do not depend on execution order or thread count. Each resample
 is drawn once and shared by every estimator bootstrapped together.
 
-Replicates are drawn and evaluated in fixed chunks. An arbitrary estimator
-is called on each resample's rows (:func:`bootstrap_many`); the built-in
-methods are evaluated on a whole chunk from the resamples' SNP counts
-(:func:`bootstrap_chunks` with :func:`resample_counts`).
+Replicates are drawn and evaluated in fixed chunks (:func:`bootstrap_chunks`).
+An arbitrary estimator is called on a copy of each resample's rows
+(:func:`bootstrap`); the built-in methods are evaluated on a whole chunk
+from the resamples' SNP counts (:func:`resample_counts`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,6 +43,43 @@ _CHUNK = 20
 MAX_N_BOOT = 1_000_000
 
 
+def _json_int(key: str, v) -> int:
+    """An integer, or an integral float; booleans and anything else raise."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _json_float(key: str, v) -> float:
+    """A finite number as a float; booleans, strings and anything else raise."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    if not (abs(v) <= sys.float_info.max):  # also false for NaN
+        raise ValueError(f"{key} must be finite, got {v!r}")
+    return float(v)
+
+
+def _json_knots(key: str, knots) -> tuple[tuple[float, float], ...]:
+    """``[x, y]`` pairs, each value under the number rule."""
+    try:
+        pairs = [(x, y) for x, y in knots]
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a list of [x, y] pairs") from None
+    return tuple((_json_float(key, x), _json_float(key, y)) for x, y in pairs)
+
+
+# Each field's rule, by its annotation (a string under ``from __future__ import annotations``).
+_TYPE_RULES = {"int": _json_int, "float": _json_float, "tuple[tuple[float, float], ...]": _json_knots}
+
+
+def _apply_typing(obj) -> None:
+    """Pass every field of the frozen dataclass ``obj`` that has a rule through it."""
+    for f in fields(obj):
+        rule = _TYPE_RULES.get(f.type)
+        if rule is not None:
+            object.__setattr__(obj, f.name, rule(f.name, getattr(obj, f.name)))
+
+
 class CiKind(str, enum.Enum):
     NORMAL_APPROX = "NormalApprox"
     PERCENTILE = "Percentile"
@@ -54,6 +93,7 @@ class BootstrapConfig:
     level: float = 0.95
 
     def __post_init__(self):
+        _apply_typing(self)
         if self.n_boot < 2:
             raise ValueError("n_boot must be at least 2")
         if self.n_boot > MAX_N_BOOT:
@@ -114,61 +154,32 @@ def bootstrap(
         Fewer than 2 SNPs.
     TooManyFailures
         More than half of the replicates failed, or fewer than 2 succeeded.
+
+    Any other exception ``estimator`` raises propagates: the one from the
+    lowest replicate.
     """
     arrays = as_triple_arrays(triples)
     if len(arrays) < 2:
         raise DegenerateInput("bootstrap needs at least 2 SNPs")
     if point is None:
         point = float(estimator(arrays))
-    (result,) = bootstrap_many([estimator], arrays, cfg, [point])
+
+    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, ok = zip(*(_evaluate_copy(estimator, arrays.take(row)) for row in indices))
+        return np.array([values]), np.array([ok])
+
+    (result,) = bootstrap_chunks(evaluate, len(arrays), cfg, [point])
     if isinstance(result, TooManyFailures):
         raise result
     return result
 
 
-def bootstrap_many(
-    estimators: Sequence[Callable],
-    triples,
-    cfg: BootstrapConfig,
-    points: Sequence[float],
-    workers: int = 1,
-) -> list[BootstrapResult | TooManyFailures]:
-    """Bootstrap several estimators on one shared set of resamples.
-
-    Replicate ``b`` draws its indices once and every estimator reads that
-    same resample, so each result equals what :func:`bootstrap` gives for
-    that estimator alone. ``points`` are the full-sample estimates, in the
-    order of ``estimators``. With ``workers > 1`` the replicates are split
-    into chunks run on that many threads, so the estimators must be safe to
-    call concurrently; the results are the same for any ``workers``.
-
-    Returns, in estimator order, each :class:`BootstrapResult` or the
-    :class:`TooManyFailures` that :func:`bootstrap` would raise for it.
-
-    Raises
-    ------
-    DegenerateInput
-        Fewer than 2 SNPs.
-
-    Any other exception an estimator raises propagates: the one from the
-    lowest replicate, as in a sequential run.
-    """
-    arrays = as_triple_arrays(triples)
-
-    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty((len(estimators), len(indices)))
-        ok = np.zeros(values.shape, dtype=bool)
-        for r, row in enumerate(indices):
-            sample = arrays.take(row)
-            for k, estimator in enumerate(estimators):
-                try:
-                    values[k, r] = float(estimator(sample))
-                except _RESAMPLE_FAILURES:
-                    continue
-                ok[k, r] = True
-        return values, ok
-
-    return bootstrap_chunks(evaluate, len(arrays), cfg, points, workers)
+def _evaluate_copy(estimator: Callable, sample) -> tuple[float, bool]:
+    """``estimator`` on a copied resample, and whether it succeeded."""
+    try:
+        return float(estimator(sample)), True
+    except _RESAMPLE_FAILURES:
+        return 0.0, False
 
 
 def bootstrap_chunks(
@@ -178,7 +189,7 @@ def bootstrap_chunks(
     points: Sequence[float],
     workers: int = 1,
 ) -> list[BootstrapResult | TooManyFailures]:
-    """The resampling loop of :func:`bootstrap_many`, over any chunk evaluator.
+    """The resampling loop of every bootstrap, over any chunk evaluator.
 
     Replicates are drawn in chunks of ``_CHUNK``, each row from its own
     stream, and ``evaluate`` maps a chunk's ``rows x p`` resample indices to

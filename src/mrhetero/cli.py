@@ -125,12 +125,10 @@ def _round_doc(obj):
     return obj
 
 
-def _emit(doc_json: dict, tsv_text: str | None, args) -> None:
+def _emit(doc_json: dict, tsv_text: str, args) -> None:
     if args.output_format == "json":
         text = json.dumps(doc_json, allow_nan=False) + "\n"
     else:
-        if tsv_text is None:
-            raise DataError("this command has no TSV form")
         text = tsv_text
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -181,10 +179,10 @@ def _thread_count() -> int:
 
 def cmd_analyze(args) -> int:
     methods = _parse_methods(args.methods)
-    triples, report = _load_inputs(args)
     ci_kind = CiKind.PERCENTILE if args.ci_kind == "percentile" else CiKind.NORMAL_APPROX
     boot = _bootstrap_config(args, args.seed, ci_kind)
     workers = _thread_count()
+    triples, report = _load_inputs(args)
     het = het_test(triples)
     estimates = estimate_many(methods, triples, boot, workers)
     for e in estimates:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .bootstrap import _RESAMPLE_FAILURES, BootstrapConfig, bootstrap_chunks, normal_ci, resample_counts
+from .bootstrap import BootstrapConfig, _evaluate_copy, bootstrap_chunks, normal_ci, resample_counts
 from .errors import MrHeteroError, VanishingDenominator
 from .kernels import WeightedPairs
 from .summary_data import TripleArrays, as_triple_arrays
@@ -200,17 +200,10 @@ def _counted_evaluator(methods, a: TripleArrays):
                 rows.append((beta, passed, resolved))
             values, ok, resolved = (np.array(x) for x in zip(*rows))
         for k, r in zip(*np.nonzero(~resolved)):
-            values[k, r], ok[k, r] = _point_on_resample(methods[k], a.take(indices[r]))
+            values[k, r], ok[k, r] = _evaluate_copy(point_estimator(methods[k]), a.take(indices[r]))
         return values, ok
 
     return evaluate
-
-
-def _point_on_resample(method: Method, sample: TripleArrays) -> tuple[float, bool]:
-    try:
-        return _point(method, sample)[0], True
-    except _RESAMPLE_FAILURES:
-        return 0.0, False
 
 
 def point_estimator(method: Method):

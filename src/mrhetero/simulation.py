@@ -14,16 +14,14 @@ of the output.
 from __future__ import annotations
 
 import copy
-import numbers
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _replicate_rng, stream_seed
+from .bootstrap import BootstrapConfig, _apply_typing, _replicate_rng, stream_seed
 from .errors import DegenerateInput, MrHeteroError
 from .estimators import Method, estimate_many
 from .summary_data import TripleArrays, blocked_regressions
@@ -50,6 +48,10 @@ MAX_P = 10**6
 #: Largest accepted ``n``, beyond any GWAS cohort: a replicate holds several
 #: length-``n`` float64 noise vectors, 80 MB each at this bound.
 MAX_N = 10**7
+
+#: Largest accepted ``n_replicates``, beyond any Monte-Carlo study: on more than
+#: one thread every replicate's task is queued at once, about 2 KB each.
+MAX_REPLICATES = 10**5
 
 
 class _Kinded:
@@ -227,6 +229,8 @@ class ScenarioConfig:
             raise ValueError("gamma_tr_low must be below gamma_tr_high")
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be positive")
+        if self.n_replicates > MAX_REPLICATES:
+            raise ValueError(f"n_replicates must be at most {MAX_REPLICATES}, got {self.n_replicates}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.pleiotropy.n_contaminated > self.p:
@@ -244,43 +248,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
         nested = {"g": GFunction, "pleiotropy": Pleiotropy}
         return cls(**{k: nested[k].from_json_dict(v) if k in nested else v for k, v in d.items()})
-
-
-def _json_int(key: str, v) -> int:
-    """An integer, or an integral float; booleans and anything else raise."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _json_float(key: str, v) -> float:
-    """A finite number as a float; booleans, strings and anything else raise."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {v!r}")
-    if not (abs(v) <= sys.float_info.max):  # also false for NaN
-        raise ValueError(f"{key} must be finite, got {v!r}")
-    return float(v)
-
-
-def _json_knots(key: str, knots) -> tuple[tuple[float, float], ...]:
-    """``[x, y]`` pairs, each value under the number rule."""
-    try:
-        pairs = [(x, y) for x, y in knots]
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a list of [x, y] pairs") from None
-    return tuple((_json_float(key, x), _json_float(key, y)) for x, y in pairs)
-
-
-# Each field's rule, by its annotation (a string under ``from __future__ import annotations``).
-_TYPE_RULES = {"int": _json_int, "float": _json_float, "tuple[tuple[float, float], ...]": _json_knots}
-
-
-def _apply_typing(obj) -> None:
-    """Pass every field of the frozen dataclass ``obj`` that has a rule through it."""
-    for f in fields(obj):
-        rule = _TYPE_RULES.get(f.type)
-        if rule is not None:
-            object.__setattr__(obj, f.name, rule(f.name, getattr(obj, f.name)))
 
 
 def _json_value(v):
@@ -504,12 +471,13 @@ def run_scenario(
         arr = np.asarray(rows, dtype=float)
         err = arr[:, 0] - cfg.beta0
         covered = (arr[:, 1] <= cfg.beta0) & (cfg.beta0 <= arr[:, 2])
-        summaries[m.value] = MethodPerformance(
-            bias_pct=float(err.mean() / cfg.beta0 * 100.0),
-            rmse_pct=float(np.sqrt((err**2).mean()) / cfg.beta0 * 100.0),
-            ci_length_pct=float((arr[:, 2] - arr[:, 1]).mean() / cfg.beta0 * 100.0),
-            coverage_pct=float(covered.mean() * 100.0),
-            n_replicates_used=len(rows),
-            n_failed=n_failed,
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN at beta0 = 0
+            summaries[m.value] = MethodPerformance(
+                bias_pct=float(err.mean() / cfg.beta0 * 100.0),
+                rmse_pct=float(np.sqrt((err**2).mean()) / cfg.beta0 * 100.0),
+                ci_length_pct=float((arr[:, 2] - arr[:, 1]).mean() / cfg.beta0 * 100.0),
+                coverage_pct=float(covered.mean() * 100.0),
+                n_replicates_used=len(rows),
+                n_failed=n_failed,
+            )
     return ScenarioSummary(methods=summaries, n_replicates=cfg.n_replicates)

@@ -12,9 +12,8 @@ from mrhetero import (
     TooManyFailures,
     VanishingDenominator,
     bootstrap,
-    bootstrap_many,
 )
-from mrhetero.bootstrap import MAX_N_BOOT, stream_seed, z_quantile
+from mrhetero.bootstrap import MAX_N_BOOT, _evaluate_copy, bootstrap_chunks, stream_seed, z_quantile
 from mrhetero.summary_data import as_triple_arrays
 
 from conftest import random_triples
@@ -86,8 +85,9 @@ class TestBootstrap:
         def always_fails(tr):
             raise VanishingDenominator("no luck")
 
-        with pytest.raises(TooManyFailures):
+        with pytest.raises(TooManyFailures) as raised:
             bootstrap(always_fails, t, BootstrapConfig(n_boot=50, seed=2), point=0.0)
+        assert raised.value.details == {"n_failed": 50, "n_boot": 50}
 
     def test_needs_two_snps(self, rng):
         t, _, _ = random_triples(rng, 1)
@@ -136,54 +136,57 @@ class TestBootstrap:
         with pytest.raises(ValueError, match=f"n_boot must be at most {MAX_N_BOOT}"):
             BootstrapConfig(n_boot=MAX_N_BOOT + 1)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_boot", 10.5, "n_boot must be an integer, got 10.5"),
+        ("n_boot", True, "n_boot must be an integer, got True"),
+        ("n_boot", "100", "n_boot must be an integer, got '100'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("level", "0.9", "level must be a number, got '0.9'"),
+        ("level", True, "level must be a number, got True"),
+    ])
+    def test_config_values_are_typed(self, key, value, message):
+        with pytest.raises(ValueError) as info:
+            BootstrapConfig(**{key: value})
+        assert str(info.value) == message
 
-class TestBootstrapMany:
-    def test_failing_estimator_leaves_its_neighbour_unchanged(self, rng):
-        t, _, _ = random_triples(rng, 30, noise=0.05)
-        arrays = as_triple_arrays(t)
-
-        def always_fails(tr):
-            raise VanishingDenominator("no luck")
-
-        def est(tr):
-            a = as_triple_arrays(tr)
-            return float(np.mean(a.capgamma_ou / a.gamma_tr))
-
-        cfg = BootstrapConfig(n_boot=300, seed=42)
-        point = est(arrays)
-        failed, res = bootstrap_many([always_fails, est], t, cfg, [0.0, point])
-        assert isinstance(failed, TooManyFailures)
-        assert failed.details == {"n_failed": 300, "n_boot": 300}
-        assert res == bootstrap(est, t, cfg, point=point)
-        replayed = np.array([
-            est(arrays.take(replay_resample_indices(42, b, 30))) for b in range(300)
-        ])
-        assert res.se == replayed.std(ddof=1)
+    def test_integral_values_are_stored_as_ints(self):
+        cfg = BootstrapConfig(n_boot=100.0, seed=np.uint64(2**64 - 1), level=np.float64(0.5))
+        assert (cfg.n_boot, cfg.seed, cfg.level) == (100, 2**64 - 1, 0.5)
+        assert [type(v) for v in (cfg.n_boot, cfg.seed, cfg.level)] == [int, int, float]
 
     def test_each_resample_is_drawn_once(self, rng, monkeypatch):
         # the package re-exports the function under the module's name
         boot_module = importlib.import_module("mrhetero.bootstrap")
         t, _, _ = random_triples(rng, 12, noise=0.05)
-        seen = []
-
-        def est(tr):
-            seen.append(tuple(as_triple_arrays(tr).snp_ids))
-            return 0.0
-
         draws = []
         replicate_rng = boot_module._replicate_rng
         monkeypatch.setattr(boot_module, "_replicate_rng",
                             lambda seed, b: draws.append(b) or replicate_rng(seed, b))
-        bootstrap_many([est, est, est], t, BootstrapConfig(n_boot=20, seed=1), [0.0] * 3)
+        bootstrap(lambda tr: 0.0, t, BootstrapConfig(n_boot=20, seed=1))
         assert draws == list(range(20))
-        # the three estimators read the same resample of each replicate
-        assert seen[0::3] == seen[1::3] == seen[2::3]
 
 
-    @pytest.mark.parametrize("workers", [2, 3, 64])
+def copy_evaluator(estimators, arrays):
+    """A chunk evaluator calling each of ``estimators`` on each copied resample."""
+    def evaluate(indices):
+        values = np.zeros((len(estimators), len(indices)))
+        ok = np.zeros(values.shape, dtype=bool)
+        for r, row in enumerate(indices):
+            sample = arrays.take(row)
+            for k, estimator in enumerate(estimators):
+                values[k, r], ok[k, r] = _evaluate_copy(estimator, sample)
+        return values, ok
+
+    return evaluate
+
+
+class TestBootstrapChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
     def test_threads_give_the_same_results(self, rng, workers):
         t, _, _ = random_triples(rng, 8, noise=0.05)
-        poison = as_triple_arrays(t).snp_ids[0]
+        arrays = as_triple_arrays(t)
+        poison = arrays.snp_ids[0]
 
         def fragile(tr):
             a = as_triple_arrays(tr)
@@ -200,13 +203,13 @@ class TestBootstrapMany:
 
         for ci_kind in CiKind:
             cfg = BootstrapConfig(n_boot=250, seed=9, ci_kind=ci_kind)
-            args = ([fragile, always_fails, ratio], t, cfg, [0.0, 0.0, 0.0])
-            sequential = bootstrap_many(*args)
-            threaded = bootstrap_many(*args, workers=workers)
-            assert 0 < sequential[0].n_failed < 250
-            assert threaded[0::2] == sequential[0::2]
+            evaluate = copy_evaluator([fragile, always_fails, ratio], arrays)
+            threaded = bootstrap_chunks(evaluate, len(arrays), cfg, [0.0] * 3, workers)
+            alone = [bootstrap(est, t, cfg, point=0.0) for est in (fragile, ratio)]
+            assert 0 < alone[0].n_failed < 250
+            assert threaded[0::2] == alone
             assert isinstance(threaded[1], TooManyFailures)
-            assert threaded[1].details == sequential[1].details
+            assert threaded[1].details == {"n_failed": 250, "n_boot": 250}
 
     def test_threads_raise_the_lowest_replicates_error(self, rng):
         t, _, _ = random_triples(rng, 8)
@@ -225,7 +228,7 @@ class TestBootstrapMany:
         cfg = BootstrapConfig(n_boot=200, seed=9)
         for workers in (1, 3):
             with pytest.raises(RuntimeError) as raised:
-                bootstrap_many([strict], t, cfg, [0.0], workers=workers)
+                bootstrap_chunks(copy_evaluator([strict], arrays), len(arrays), cfg, [0.0], workers)
             assert raised.value.args == (bad[45],)
 
 

@@ -143,6 +143,15 @@ class TestAnalyze:
         assert record["error"] == "FileNotFound"
         assert "nope.tsv" in record["message"]
 
+    def test_flags_are_checked_before_any_file_is_read(self, tmp_path, capsys):
+        tr, oug, ouy = write_inputs(tmp_path)
+        code, out, err = run_cli(
+            capsys, "analyze", "--treatment", str(tmp_path / "nope.tsv"),
+            "--outcome-exposure", oug, "--outcome", ouy, "--boot", "1")
+        assert code == 2
+        assert json.loads(err) == {"error": "DataError", "message": "n_boot must be at least 2"}
+        assert out == ""
+
     def test_no_row_objects_on_the_analyze_path(self, tmp_path, capsys, monkeypatch):
         tr, oug, ouy = write_inputs(tmp_path, p=30, shift_ou=0.5)
         argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy,
@@ -552,19 +561,30 @@ class TestSimulate:
         assert out == ""
 
     @pytest.mark.parametrize("key,value", [("p", simulation.MAX_P + 1), ("n", simulation.MAX_N + 1),
-                                           ("p", 10**15), ("n", 10**12)])
+                                           ("p", 10**15), ("n", 10**12),
+                                           ("replicates", simulation.MAX_REPLICATES + 1),
+                                           ("replicates", 10**12)])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_size_above_its_maximum_exit_2(self, tmp_path, capsys, key, value, source):
         # Rejected with the config, before any replicate is generated.
+        config_key = {"replicates": "n_replicates"}.get(key, key)
         cfg_path = tmp_path / "scn.json"
-        cfg_path.write_text(json.dumps({key: value}))
+        cfg_path.write_text(json.dumps({config_key: value}))
         argv = [f"--{key}", str(value)] if source == "flag" else ["--config", str(cfg_path)]
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 2
         record = json.loads(err)
         assert record["error"] == "DataError"
-        assert f"{key} must be at most" in record["message"]
+        assert f"{config_key} must be at most" in record["message"]
         assert out == ""
+
+    def test_zero_beta0_writes_no_warning(self, capsys):
+        # The relative metrics divide by beta0: they are infinite, printed as null.
+        code, out, err = run_cli(capsys, "simulate", "--p", "5", "--n", "300", "--replicates", "2",
+                                 "--boot", "10", "--beta0", "0", "--methods", "MrWald")
+        assert code == 0
+        assert err == ""
+        assert _strict_json(out)["summary"]["methods"]["MrWald"]["bias_pct"] is None
 
     @pytest.mark.parametrize("flag,value", [("--boot", "1"), ("--level", "1.5")])
     def test_bad_bootstrap_setting_exit_2(self, capsys, flag, value):

@@ -18,8 +18,9 @@ from mrhetero import (
     TooManyFailures,
     VanishingDenominator,
     as_triple_arrays,
-    bootstrap_many,
+    bootstrap,
     estimate_many,
+    estimators,
 )
 from mrhetero.estimators import point_estimator
 from mrhetero.kernels import REL_DENOM_TOL, WeightedPairs, _half_mass_window, _median_terms, l1_origin
@@ -200,11 +201,11 @@ def assert_counts_match_resamples(a: TripleArrays, seed: int, n_boot: int = 60) 
         for x, y in zip(estimate_many(BOOTSTRAPPED, a, boot, workers=3), counted):
             assert x == y if isinstance(x, MrEstimate) else (type(x), x.details) == (type(y), y.details)
         booted = [(m, e) for m, e in zip(BOOTSTRAPPED, counted) if not isinstance(e, DegenerateDesign | VanishingDenominator)]
-        copied = bootstrap_many([point_estimator(m) for m, _ in booted], a, boot,
-                                [getattr(e, "beta", 0.0) for _, e in booted])
-        for (m, e), ref in zip(booted, copied):
-            if isinstance(ref, TooManyFailures):
-                assert isinstance(e, TooManyFailures) and e.details == ref.details, m
+        for m, e in booted:
+            try:
+                ref = bootstrap(point_estimator(m), a, boot, getattr(e, "beta", 0.0))
+            except TooManyFailures as failed:
+                assert isinstance(e, TooManyFailures) and e.details == failed.details, m
                 continue
             assert e.auxiliary["bootstrap_failed"] == ref.n_failed, m
             assert e.se == pytest.approx(ref.se, rel=1e-12, abs=0.0), m
@@ -254,6 +255,19 @@ def test_counted_bootstrap_keeps_the_constant_design_guard_per_replicate():
     (normal, _) = assert_counts_match_resamples(near_constant_design(rng, a, 1.1), seed=3, n_boot=200)
     failed = [e.auxiliary["bootstrap_failed"] for e in normal if e.method is Method.EGGER]
     assert 0 < failed[0] < 100
+
+
+def test_unresolved_rows_call_the_point_estimator(monkeypatch):
+    # Every Egger row is this near the guard; each is computed by the point
+    # estimator on ``estimators``, where the traced benchmark wraps it.
+    rng, a = draw_panel(11, 40)
+    near = near_constant_design(rng, a, 1.1)
+    boot = BootstrapConfig(n_boot=100, seed=3)
+    expected = estimate_many([Method.EGGER], near, boot)
+    calls = []
+    monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
+    assert estimate_many([Method.EGGER], near, boot) == expected
+    assert calls == [Method.EGGER] * 100
 
 
 def test_counted_bootstrap_keeps_the_flat_l1_midpoint():

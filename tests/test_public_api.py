@@ -9,7 +9,7 @@ PUBLIC = [
     "Method", "MethodPerformance", "MissingColumn", "MrEstimate", "MrHeteroError", "Pleiotropy",
     "ReplicateTruth", "ScenarioConfig", "ScenarioSummary", "SnpArrays", "SnpRecord",
     "TooManyFailures", "TripleArrays", "VanishingDenominator", "WeightedPairs", "as_snp_arrays",
-    "as_triple_arrays", "bootstrap", "bootstrap_many", "chisq_sf", "divw", "divw_variance",
+    "as_triple_arrays", "bootstrap", "chisq_sf", "divw", "divw_variance",
     "estimate", "estimate_many", "harmonize", "het_test", "iv_strength_diagnostics", "l1_origin",
     "marginal_regression", "marginal_regressions", "mr_wald", "mr_wald_d", "mr_wald_r",
     "parse_summary_file", "run_scenario", "simulate_replicate", "weighted_median_ratio",

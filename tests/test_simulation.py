@@ -128,7 +128,8 @@ class TestConfig:
             make()
         assert message in str(info.value)
 
-    @pytest.mark.parametrize("key,bound", [("p", simulation.MAX_P), ("n", simulation.MAX_N)])
+    @pytest.mark.parametrize("key,bound", [("p", simulation.MAX_P), ("n", simulation.MAX_N),
+                                           ("n_replicates", simulation.MAX_REPLICATES)])
     def test_sizes_have_a_maximum(self, key, bound):
         # Only configs are built here: no replicate is generated.
         assert getattr(ScenarioConfig(**{key: bound}), key) == bound
