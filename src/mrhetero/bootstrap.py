@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import NormalDist
@@ -54,9 +53,13 @@ def _json_float(key: str, v) -> float:
     """A finite number as a float; booleans, strings and anything else raise."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{key} must be a number, got {v!r}")
-    if not (abs(v) <= sys.float_info.max):  # also false for NaN
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ValueError(f"{key} must be finite, got {v!r}")
-    return float(v)
+    return x
 
 
 def _json_knots(key: str, knots) -> tuple[tuple[float, float], ...]:
@@ -216,14 +219,9 @@ def bootstrap_chunks(
         for start in starts:
             run(start)
     else:
+        # map yields in order and cancels the chunks not yet started when one raises.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, start) for start in starts]
-            try:
-                for f in futures:
-                    f.result()
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            list(pool.map(run, starts))
     return [_summarise(v[m], cfg, point) for v, m, point in zip(values, ok, points)]
 
 

@@ -149,18 +149,15 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _load_inputs(args):
+def _load_inputs(args, *paths):
+    """Parse the summary files at ``paths`` in order and harmonize them."""
     columns = _parse_columns(args.columns)
-    treatment = parse_summary_file(args.treatment, columns, lenient=args.lenient)
-    ou_exposure = parse_summary_file(args.outcome_exposure, columns, lenient=args.lenient)
-    outcome_path = getattr(args, "outcome", None)
-    if outcome_path is not None:
-        ou_outcome = parse_summary_file(outcome_path, columns, lenient=args.lenient)
-    else:
+    tables = [parse_summary_file(path, columns, lenient=args.lenient) for path in paths]
+    if len(tables) == 2:
         # Heterogeneity testing needs only the two exposure files; reuse the
         # outcome-cohort exposure records to fill the unused outcome slot.
-        ou_outcome = ou_exposure
-    return harmonize(treatment, ou_exposure, ou_outcome, policy=args.palindromic)
+        tables.append(tables[1])
+    return harmonize(*tables, policy=args.palindromic)
 
 
 def _bootstrap_config(args, seed: int, ci_kind: CiKind) -> BootstrapConfig:
@@ -170,19 +167,12 @@ def _bootstrap_config(args, seed: int, ci_kind: CiKind) -> BootstrapConfig:
         raise DataError(str(exc)) from None
 
 
-def _thread_count() -> int:
-    try:
-        return thread_count()
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-
-
 def cmd_analyze(args) -> int:
     methods = _parse_methods(args.methods)
     ci_kind = CiKind.PERCENTILE if args.ci_kind == "percentile" else CiKind.NORMAL_APPROX
     boot = _bootstrap_config(args, args.seed, ci_kind)
-    workers = _thread_count()
-    triples, report = _load_inputs(args)
+    workers = thread_count()
+    triples, report = _load_inputs(args, args.treatment, args.outcome_exposure, args.outcome)
     het = het_test(triples)
     estimates = estimate_many(methods, triples, boot, workers)
     for e in estimates:
@@ -228,7 +218,7 @@ def _analyze_tsv(doc: dict) -> str:
 
 
 def cmd_het_test(args) -> int:
-    triples, _report = _load_inputs(args)
+    triples, _report = _load_inputs(args, args.treatment, args.outcome_exposure)
     het = het_test(triples)
     doc = _round_doc({"het_test": het.to_json_dict()})
     h = doc["het_test"]
@@ -282,7 +272,6 @@ def cmd_simulate(args) -> int:
     methods = _parse_methods(args.methods)
     seed = cfg.seed if args.boot_seed is None else args.boot_seed
     boot = _bootstrap_config(args, seed, CiKind.NORMAL_APPROX)
-    _thread_count()
     summary = run_scenario(cfg, methods, boot)
     doc = _round_doc({"config": cfg.to_json_dict(), "summary": summary.to_json_dict()})
     _emit(doc, _summary_tsv(doc["summary"]), args)
@@ -298,13 +287,9 @@ def _summary_tsv(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_io_flags(sub, with_outcome: bool) -> None:
+def _add_io_flags(sub) -> None:
     sub.add_argument("--treatment", required=True, help="treatment-cohort exposure TSV")
     sub.add_argument("--outcome-exposure", required=True, help="outcome-cohort exposure TSV")
-    if with_outcome:
-        sub.add_argument("--outcome", required=True, help="outcome-cohort outcome TSV")
-    else:
-        sub.add_argument("--outcome", help="outcome-cohort outcome TSV (optional here)")
     sub.add_argument("--columns", help="column mapping overrides, e.g. snp=rsid,beta=b")
     sub.add_argument("--palindromic", choices=("drop", "keep"), default="drop",
                      help="policy for strand-ambiguous A/T and C/G SNPs")
@@ -325,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     a = subs.add_parser("analyze", help="harmonize three summary files and estimate the causal effect")
-    _add_io_flags(a, with_outcome=True)
+    _add_io_flags(a)
+    a.add_argument("--outcome", required=True, help="outcome-cohort outcome TSV")
     a.add_argument("--methods", default="MrWald,MrWaldR", help=_METHODS_HELP)
     a.add_argument("--boot", type=int, default=1000, help="bootstrap replicate count")
     a.add_argument("--seed", type=int, default=0, help="bootstrap seed")
@@ -334,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(a)
     a.set_defaults(func=cmd_analyze)
 
-    h = subs.add_parser("het-test", help="test homogeneity of the two exposure-association vectors")
-    _add_io_flags(h, with_outcome=False)
+    # Without allow_abbrev, "--outcome" would be read as "--outcome-exposure".
+    h = subs.add_parser("het-test", help="test homogeneity of the two exposure-association vectors",
+                        allow_abbrev=False)
+    _add_io_flags(h)
     _add_output_flags(h)
     h.set_defaults(func=cmd_het_test)
 
@@ -368,7 +356,7 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except DataError as exc:
-            _error_record(exc)
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc), **exc.details}), file=sys.stderr)
             return 2
         except OSError as exc:
             # A file that is missing, a directory or unreadable is a usage error.
@@ -378,17 +366,9 @@ def main(argv=None) -> int:
                 record["path"] = str(exc.filename)
             print(json.dumps(record), file=sys.stderr)
             return 2
-        except MrHeteroError as exc:
-            _error_record(exc)
-            return 1
         except ValueError as exc:
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
             return 1
-
-
-def _error_record(exc: MrHeteroError) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc), **exc.details}
-    print(json.dumps(record), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -41,30 +41,19 @@ class EmptyIntersection(DataError):
 
 
 class DegenerateInput(DataError):
-    def __init__(self, reason: str):
-        super().__init__(reason, reason=reason)
+    """Too few SNPs, replicates or methods for the requested computation."""
 
 
 class DegenerateGenotype(DataError):
-    def __init__(self, reason: str = "genotype vector is constant"):
-        super().__init__(reason, reason=reason)
+    """A genotype column is constant, so its marginal regression is undefined."""
 
 
 class DegenerateDesign(DataError):
     """Regression design does not identify the requested parameters."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason, reason=reason)
-
 
 class VanishingDenominator(DataError):
-    """A ratio estimator's denominator is indistinguishable from zero."""
-
-    def __init__(self, reason: str, value: float | None = None):
-        details = {"reason": reason}
-        if value is not None:
-            details["value"] = value
-        super().__init__(reason, **details)
+    """A ratio estimator's denominator is indistinguishable from zero (detail ``value``)."""
 
 
 class TooManyFailures(DataError):

@@ -72,19 +72,13 @@ class MrEstimate:
 
 def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: str) -> float:
     scale = float(np.max(np.abs(a.gamma_ou))) / float(np.max(np.abs(a.gamma_tr)))
-    if _vanishes(denominator, scale):
+    # A slope of gamma_ou on gamma_tr is naturally of size max|gamma_ou| / max|gamma_tr|.
+    if kernels._vanishes(denominator, scale):
         raise VanishingDenominator(
             f"{what}: exposure-on-exposure slope is indistinguishable from zero",
             value=denominator,
         )
     return numerator / denominator
-
-
-def _vanishes(denominator, scale):
-    # Scale-free threshold: |den| is compared against the natural size of a
-    # slope of gamma_ou on gamma_tr, max|gamma_ou| / max|gamma_tr|, so
-    # rescaling either axis cannot change the outcome of the guard.
-    return abs(denominator) <= kernels.REL_DENOM_TOL * scale
 
 
 def _held_max(counts: np.ndarray, values: np.ndarray, descending: np.ndarray) -> np.ndarray:
@@ -193,7 +187,7 @@ def _counted_evaluator(methods, a: TripleArrays):
                                  / _held_max(counts, abs_gamma_tr, tr_descending))
                     slope, den_passed, den_resolved = fits[den]
                     beta = beta / slope
-                    passed = passed & den_passed & ~_vanishes(slope, scale)
+                    passed = passed & den_passed & ~kernels._vanishes(slope, scale)
                     # Within a factor 1e9 of the guard the ratio amplifies the
                     # rounding of its denominator past 1e-13 of the value.
                     resolved = resolved & den_resolved & (abs(slope) > 1e-3 * scale)

@@ -39,7 +39,8 @@ def het_test(triples) -> HetTestResult:
     with ``p`` degrees of freedom; the p-value is the upper tail.
     """
     a = as_triple_arrays(triples)
-    contrib = (a.gamma_ou - a.gamma_tr) ** 2 / (a.se_gamma_ou**2 + a.se_gamma_tr**2)
+    with np.errstate(over="ignore"):  # a term beyond the float range is infinite
+        contrib = (a.gamma_ou - a.gamma_tr) ** 2 / (a.se_gamma_ou**2 + a.se_gamma_tr**2)
     statistic = float(contrib.sum())
     df = len(a)
     return HetTestResult(

@@ -29,6 +29,12 @@ from .summary_data import as_triple_arrays
 # changes in the inputs cannot alter which inputs are rejected.
 REL_DENOM_TOL = 1e-12
 
+
+def _vanishes(denominator, scale):
+    """Whether ``|denominator|`` is at most ``REL_DENOM_TOL`` times its natural size ``scale``."""
+    return abs(denominator) <= REL_DENOM_TOL * scale
+
+
 # Half-width of the counted medians' window around the panel's half-mass
 # point, in units of sqrt(sum m^2) (see _half_mass_window).
 _WINDOW = 8.0
@@ -374,7 +380,7 @@ def divw(triples) -> float:
     num = float(np.dot(w * a.capgamma_ou, a.gamma_tr))
     den = float(np.dot(w, a.gamma_tr**2 - a.se_gamma_tr**2))
     scale = float(np.dot(w, a.gamma_tr**2))
-    if den == 0.0 or abs(den) < REL_DENOM_TOL * scale:
+    if _vanishes(den, scale):
         raise VanishingDenominator(
             "debiased instrument strength is indistinguishable from zero", value=den
         )

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _apply_typing, _replicate_rng, stream_seed
-from .errors import DegenerateInput, MrHeteroError
+from .errors import DataError, DegenerateInput, MrHeteroError
 from .estimators import Method, estimate_many
 from .summary_data import TripleArrays, blocked_regressions
 
@@ -410,9 +410,9 @@ def thread_count() -> int:
     try:
         count = int(env)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+        raise DataError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if count > MAX_THREADS:
-        raise ValueError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {env!r}")
+        raise DataError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {env!r}")
     return max(1, count)
 
 
@@ -444,13 +444,13 @@ def run_scenario(
     result is bit-identical for a fixed ``(cfg, boot)`` regardless of thread
     count.
     """
+    workers = thread_count()
     methods = list(dict.fromkeys(Method(m) for m in methods))
     if not methods:
         raise DegenerateInput("at least one method required")
     if cfg.n_replicates < 2:
         raise DegenerateInput("at least 2 replicates required")
 
-    workers = thread_count()
     if workers == 1:
         results = [_replicate_results(cfg, methods, boot, r) for r in range(cfg.n_replicates)]
     else:

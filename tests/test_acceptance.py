@@ -47,6 +47,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_no_pleiotropy_identity_reproduction():
     cfg = ScenarioConfig(p=200, n=10_000, n_replicates=500, seed=101,
                          g=GFunction.identity(), pleiotropy=Pleiotropy.none())
@@ -61,6 +62,7 @@ def test_criterion_1_no_pleiotropy_identity_reproduction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_heterogeneity_separates_ratio_from_divw():
     cfg = ScenarioConfig(p=200, n=10_000, n_replicates=500, seed=102,
                          g=GFunction.affine(0.1, 0.5), pleiotropy=Pleiotropy.none())
@@ -76,6 +78,7 @@ def test_criterion_2_heterogeneity_separates_ratio_from_divw():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_robust_variant_beats_divw_under_contamination():
     cfg = ScenarioConfig(p=200, n=10_000, n_replicates=500, seed=103,
                          g=GFunction.identity(),
@@ -93,6 +96,7 @@ def test_criterion_3_robust_variant_beats_divw_under_contamination():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_directional_pleiotropy():
     cfg = ScenarioConfig(p=200, n=100_000, n_replicates=200, seed=104,
                          g=GFunction.identity(),

@@ -1,6 +1,7 @@
 import importlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from mrhetero import (
     BootstrapConfig,
     CiKind,
     DegenerateInput,
+    ScenarioConfig,
     TooManyFailures,
     VanishingDenominator,
     bootstrap,
 )
-from mrhetero.bootstrap import MAX_N_BOOT, _evaluate_copy, bootstrap_chunks, stream_seed, z_quantile
+from mrhetero.bootstrap import MAX_N_BOOT, _evaluate_copy, _json_float, bootstrap_chunks, stream_seed, z_quantile
 from mrhetero.summary_data import as_triple_arrays
 
 from conftest import random_triples
@@ -149,6 +151,26 @@ class TestBootstrap:
         with pytest.raises(ValueError) as info:
             BootstrapConfig(**{key: value})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float16(0.5), np.int64(3)])
+    def test_numpy_scalars_are_accepted_without_a_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _json_float("x", value) == float(value)
+
+    def test_float32_config_values_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert BootstrapConfig(level=np.float32(0.5)).level == 0.5
+            assert ScenarioConfig(beta0=np.float32(0.5)).beta0 == 0.5
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, math.nan, np.float32(math.inf), np.float16(-math.inf)])
+    def test_non_finite_numbers_are_rejected_without_a_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                _json_float("x", value)
+        assert str(info.value) == f"x must be finite, got {value!r}"
 
     def test_integral_values_are_stored_as_ints(self):
         cfg = BootstrapConfig(n_boot=100.0, seed=np.uint64(2**64 - 1), level=np.float64(0.5))

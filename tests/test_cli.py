@@ -237,7 +237,10 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
             "--outcome", ouy, "--methods", methods, "--boot", "50")
         assert code == 2
-        assert json.loads(err)["error"] == error
+        # The record states its message once, with no copy of it as a detail.
+        message = {"DegenerateInput": "bootstrap needs at least 2 SNPs",
+                   "DegenerateDesign": "at least 3 points required for the intercept fit"}[error]
+        assert json.loads(err) == {"error": error, "message": message}
         assert out == ""
 
 
@@ -289,6 +292,19 @@ class TestHetTest:
         assert het["df"] == p
         assert het["statistic"] == 9950.0
         assert het["p_value"] == 0.636616
+
+    @pytest.mark.parametrize("with_outcome_exposure", [True, False])
+    def test_outcome_file_is_not_an_option(self, tmp_path, capsys, with_outcome_exposure):
+        # het-test reads the two exposure files only; "--outcome" must not be
+        # read as an abbreviation of "--outcome-exposure" either.
+        tr, oug, ouy = write_inputs(tmp_path)
+        argv = ["het-test", "--treatment", tr, "--outcome", ouy]
+        if with_outcome_exposure:
+            argv += ["--outcome-exposure", oug]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_tsv_form(self, tmp_path, capsys):
         tr, _, _ = write_inputs(tmp_path)
@@ -678,19 +694,20 @@ def _strict_json(text: str):
 ], ids=["het-test", "simulate"])
 def test_non_finite_values_print_as_null(tmp_path, capsys, monkeypatch, command, argv, path, tsv_line):
     # One SNP at beta 1e300, se 1e-300 makes the homogeneity statistic
-    # infinite; a method failing on every replicate has no bias.
+    # infinite; a method failing on every replicate has no bias. Neither
+    # writes a warning record.
     header = "snp\teffect_allele\tother_allele\tbeta\tse\n"
-    (tmp_path / "huge.tsv").write_text(header + "rs1\tA\tG\t1e300\t1e-300\n")
-    (tmp_path / "plain.tsv").write_text(header + "rs1\tA\tG\t0.1\t0.01\n")
+    (tmp_path / "huge.tsv").write_text(header + "rs1\tA\tG\t1e300\t1e-300\nrs2\tA\tG\t0.2\t0.01\n")
+    (tmp_path / "plain.tsv").write_text(header + "rs1\tA\tG\t0.1\t0.01\nrs2\tA\tG\t0.22\t0.01\n")
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, command, *argv)
-    assert code == 0
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, err) == (0, "")
     value = _strict_json(out)
     for key in path:
         value = value[key]
     assert value is None
-    code, out, _ = run_cli(capsys, command, *argv, "--output-format", "tsv")
-    assert code == 0
+    code, out, err = run_cli(capsys, command, *argv, "--output-format", "tsv")
+    assert (code, err) == (0, "")
     assert tsv_line in out.split("\n")
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from mrhetero import (
     BootstrapConfig,
+    DataError,
     DegenerateGenotype,
     GFunction,
     Method,
@@ -340,6 +341,7 @@ class TestRunScenario:
                                BootstrapConfig(n_boot=20, seed=1))
         assert list(summary.methods) == ["Divw", "MrWald"]
 
+    @pytest.mark.slow
     def test_rmse_shrinks_with_scale(self):
         # consistency: growing both the panel and the cohorts shrinks the
         # ratio estimator's Monte-Carlo RMSE
@@ -361,14 +363,14 @@ class TestThreadCount:
         monkeypatch.setenv("MR_HETERO_THREADS", str(simulation.MAX_THREADS))
         assert thread_count() == simulation.MAX_THREADS == 256
         monkeypatch.setenv("MR_HETERO_THREADS", "1000000")
-        with pytest.raises(ValueError, match="MR_HETERO_THREADS must be at most 256, got '1000000'"):
+        with pytest.raises(DataError, match="MR_HETERO_THREADS must be at most 256, got '1000000'"):
             thread_count()
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MR_HETERO_THREADS", "7")
         assert thread_count() == 7
         monkeypatch.setenv("MR_HETERO_THREADS", "junk")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             thread_count()
         monkeypatch.delenv("MR_HETERO_THREADS")
         assert thread_count() >= 1
