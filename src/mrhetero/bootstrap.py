@@ -167,8 +167,8 @@ def bootstrap(
     if point is None:
         point = float(estimator(arrays))
 
-    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, ok = zip(*(_evaluate_copy(estimator, arrays.take(row)) for row in indices))
+    def evaluate(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        values, ok = zip(*(_evaluate_copy(estimator, arrays.take(row)) for row in rows))
         return np.array([values]), np.array([ok])
 
     (result,) = bootstrap_chunks(evaluate, len(arrays), cfg, [point])
@@ -186,7 +186,7 @@ def _evaluate_copy(estimator: Callable, sample) -> tuple[float, bool]:
 
 
 def bootstrap_chunks(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    evaluate: Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]],
     p: int,
     cfg: BootstrapConfig,
     points: Sequence[float],
@@ -195,12 +195,12 @@ def bootstrap_chunks(
     """The resampling loop of every bootstrap, over any chunk evaluator.
 
     Replicates are drawn in chunks of ``_CHUNK``, each row from its own
-    stream, and ``evaluate`` maps a chunk's ``rows x p`` resample indices to
-    the values of every estimator on every row and the mask of rows on which
-    each succeeded (both ``len(points) x rows``). Chunks run on ``workers``
-    threads; their boundaries are fixed, so the results do not depend on
-    ``workers``. An exception ``evaluate`` raises propagates from the lowest
-    chunk.
+    stream, and ``evaluate`` maps a chunk's rows (the ``p`` resample indices
+    each stream returns, not copied into a matrix) to the values of every
+    estimator on every row and the mask of rows on which each succeeded
+    (both ``len(points) x rows``). Chunks run on ``workers`` threads; their
+    boundaries are fixed, so the results do not depend on ``workers``. An
+    exception ``evaluate`` raises propagates from the lowest chunk.
     """
     if p < 2:
         raise DegenerateInput("bootstrap needs at least 2 SNPs")
@@ -209,10 +209,8 @@ def bootstrap_chunks(
 
     def run(start: int) -> None:
         stop = min(start + _CHUNK, cfg.n_boot)
-        indices = np.empty((stop - start, p), dtype=np.int64)
-        for r, b in enumerate(range(start, stop)):
-            indices[r] = _replicate_rng(cfg.seed, b).integers(0, p, size=p)
-        values[:, start:stop], ok[:, start:stop] = evaluate(indices)
+        rows = [_replicate_rng(cfg.seed, b).integers(0, p, size=p) for b in range(start, stop)]
+        values[:, start:stop], ok[:, start:stop] = evaluate(rows)
 
     starts = range(0, cfg.n_boot, _CHUNK)
     if workers <= 1:
@@ -225,10 +223,10 @@ def bootstrap_chunks(
     return [_summarise(v[m], cfg, point) for v, m, point in zip(values, ok, points)]
 
 
-def resample_counts(indices: np.ndarray, p: int) -> np.ndarray:
-    """Copies of each of ``p`` SNPs in each row of resample ``indices``, as floats."""
-    counts = np.empty((len(indices), p))
-    for r, row in enumerate(indices):
+def resample_counts(rows: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Copies of each of ``p`` SNPs in each of the resample index ``rows``, as floats."""
+    counts = np.empty((len(rows), p))
+    for r, row in enumerate(rows):
         counts[r] = np.bincount(row, minlength=p)
     return counts
 

@@ -175,8 +175,9 @@ def cmd_analyze(args) -> int:
     triples, report = _load_inputs(args, args.treatment, args.outcome_exposure, args.outcome)
     het = het_test(triples)
     estimates = estimate_many(methods, triples, boot, workers)
-    for e in estimates:
+    for method, e in zip(methods, estimates):
         if isinstance(e, MrHeteroError):
+            e.details["method"] = method.value
             raise e
     doc = _round_doc(
         {

@@ -166,16 +166,34 @@ def _counted_evaluator(methods, a: TripleArrays):
     point estimator on that resample; the values agree with it to rounding.
     The few rows whose count form is ill-conditioned (a ratio or a design
     near its guard) are computed by the point estimator on the resample.
+
+    Every fit of ``_FITS`` that builds on the panel has its terms in one
+    ``p x K`` matrix, in table order, and a chunk takes one product with it;
+    only the fits ``methods`` use are reduced. A product column's rounding
+    depends on the other columns, so the layout is fixed by the panel, and
+    each method's values equal those of its one-method call.
     """
-    keys = list(dict.fromkeys(f for m in methods for f in _FITS[m] if f is not None))
-    counted = [getattr(kernels, "counted_" + kernel)(build(a)) for kernel, build in keys]
+    built = {}
+    # Only the point estimates warn: a fit that no method uses must not.
+    with np.errstate(all="ignore"):
+        for kernel, build in dict.fromkeys(f for fits in _FITS.values() for f in fits if f is not None):
+            try:
+                built[kernel, build] = getattr(kernels, "counted_" + kernel)(build(a))
+            except ValueError:  # a method using the fit has failed its point estimate
+                continue
+    terms = np.hstack([fit.terms for fit in built.values()])
+    splits = np.cumsum([fit.terms.shape[1] for fit in built.values()])[:-1]
+    used = {key for m in methods for key in _FITS[m] if key is not None}
     abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
     ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
 
-    def evaluate(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore"):
             counts = resample_counts(indices, len(a))
-            fits = {key: fit(counts) for key, fit in zip(keys, counted)}
+            # np.dot, not @: for these shapes matmul holds the GIL and np.dot
+            # releases it, so threaded chunks overlap. The two agree bitwise.
+            parts = dict(zip(built, np.hsplit(np.dot(counts, terms), splits)))
+            fits = {key: built[key].reduce(counts, parts[key]) for key in used}
             scale = None
             rows = []
             for m in methods:

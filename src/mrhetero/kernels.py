@@ -7,10 +7,10 @@ weighted median of per-point ratios.
 The ``counted_*`` forms evaluate a kernel of one fixed panel on many
 bootstrap resamples at once. A resample is fully described by how many
 copies of each SNP it holds, so every kernel is a function of count-weighted
-per-SNP terms: the least-squares fits read count-weighted sums (one matrix
-product per fit for a chunk of resamples), and the medians take cumulative
-sums over ratios sorted once per panel, with the counts as multiplicities,
-within a window around the panel's half-mass point.
+per-SNP terms: the least-squares fits read count-weighted sums (for a
+chunk of resamples, columns of one matrix product shared by every fit), and
+the medians take cumulative sums over ratios sorted once per panel, with the
+counts as multiplicities, within a window around the panel's half-mass point.
 Each guard is the same predicate in both forms and is applied per resample.
 """
 
@@ -187,22 +187,18 @@ def _median_terms(a):
 class CountedFit(NamedTuple):
     """One kernel of a fixed panel, evaluated on resamples given by their SNP counts.
 
-    Called with a chunk's ``rows x p`` counts (as floats), it returns three
-    per-row arrays: the kernel's value, whether the row passes the kernel's
-    guards, and whether the count form resolves the row to rounding. A row
-    it does not resolve is one the caller evaluates on the resample itself.
-    ``reduce`` reads the counts and their products with the per-SNP
-    ``terms`` (``p x k``). Each fit takes its own product, so its rounding
-    does not depend on which other fits are evaluated with it.
+    ``terms`` are the per-SNP terms (``p x k``) whose count-weighted sums the
+    kernel reads. ``reduce`` takes a chunk's ``rows x p`` counts (as floats)
+    and the ``rows x k`` product of the counts with ``terms``, and returns
+    three per-row arrays: the kernel's value, whether the row passes the
+    kernel's guards, and whether the count form resolves the row to
+    rounding. A row it does not resolve is one the caller evaluates on the
+    resample itself. The caller takes the product, for the estimators one
+    per chunk over the terms of every fit side by side.
     """
 
     terms: np.ndarray
     reduce: Callable
-
-    def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # np.dot, not @: for these shapes matmul holds the GIL and np.dot
-        # releases it, so threaded chunks overlap. The two agree bitwise.
-        return self.reduce(counts, np.dot(counts, self.terms))
 
 
 def counted_wls_origin(d: WeightedPairs) -> CountedFit:

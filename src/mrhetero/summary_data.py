@@ -285,11 +285,20 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
             raise MissingColumn(colmap[field]) from None
     n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
 
-    body = lines[1:]
-    rows = list(map(_cells, body)) if '"' in text else [line.split("\t") for line in body]
-    table, bad = _columns(rows, positions, n_pos)
+    body, width, rows = lines[1:], len(header), None
+    if '"' not in text and set(map(str.count, body, ["\t"] * len(body))) == {width - 1}:
+        # A regular file: every line holds the header's cell count, so one
+        # split holds the cells row by row and column k is every width-th.
+        flat = "\t".join(body).split("\t")
+        cols, bad = [flat[k::width] for k in range(width)], np.zeros(len(body), dtype=bool)
+    else:
+        rows = list(map(_cells, body)) if '"' in text else [line.split("\t") for line in body]
+        cols, bad = _transpose(rows, positions, n_pos)
+    table = _columns(cols, bad, positions, n_pos)
     if not _is_utf8(text):
         bad |= [not _is_utf8(line) for line in body]
+    if rows is None:  # only the rejected rows of a regular file are split again
+        rows = {i: body[i].split("\t") for i in np.flatnonzero(bad)}
     # A blank row (every cell whitespace) is skipped, not dropped. Each one
     # breaks a rule, so only the rejected rows need looking at.
     blank = np.zeros_like(bad)
@@ -326,10 +335,10 @@ def _cells(line: str) -> list[str] | None:
     return records[0] if len(records) == 2 else None
 
 
-def _columns(rows, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
-    """Every row as a :class:`SnpArrays`, and the mask of rows that break a
-    :class:`SnpRecord` rule or hold an unclosed quote (``None``); the
-    masked rows' values are placeholders."""
+def _transpose(rows, positions, n_pos) -> tuple[list, np.ndarray]:
+    """The cells of ``rows`` by column, at least up to the last column read,
+    and the mask of rows that hold an unclosed quote (``None``) or miss a
+    required cell."""
     bad = np.array([row is None for row in rows], dtype=bool)
     if bad.any():
         rows = [[] if row is None else row for row in rows]
@@ -340,13 +349,19 @@ def _columns(rows, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
         # Missing cells read as empty: a missing sample size, or a row
         # already marked short.
         rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
-    cols = list(zip(*rows)) or [()] * width
+    return list(zip(*rows)) or [()] * width, bad
+
+
+def _columns(cols, bad, positions, n_pos) -> SnpArrays:
+    """The cells ``cols`` (by column) as a :class:`SnpArrays`; the rows that
+    break a :class:`SnpRecord` rule are added to the mask ``bad``, and the
+    masked rows' values are placeholders."""
     ids = np.array(list(map(str.strip, cols[positions["snp"]])), dtype=object)
     effect, other = (np.array(list(map(str.upper, map(str.strip, cols[positions[f]]))), dtype=object)
                      for f in ("effect_allele", "other_allele"))
     beta = _floats(cols[positions["beta"]])
     se = _floats(cols[positions["se"]])
-    n = np.full(len(rows), math.nan)
+    n = np.full(len(bad), math.nan)
     if n_pos is not None:
         n = _floats(cols[n_pos])
         # A count must survive ``int(float(cell))``, which fails on
@@ -359,7 +374,7 @@ def _columns(rows, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
         n = np.trunc(n)
     for holds, _ in _snp_rules(ids, effect, other, beta, se, n):
         bad |= ~holds
-    return SnpArrays(ids, effect, other, beta, se, n), bad
+    return SnpArrays(ids, effect, other, beta, se, n)
 
 
 def _floats(cells) -> np.ndarray:

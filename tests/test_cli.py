@@ -240,8 +240,19 @@ class TestAnalyze:
         # The record states its message once, with no copy of it as a detail.
         message = {"DegenerateInput": "bootstrap needs at least 2 SNPs",
                    "DegenerateDesign": "at least 3 points required for the intercept fit"}[error]
-        assert json.loads(err) == {"error": error, "message": message}
+        # Only MrWald's bootstrap and Egger's intercept fit fail here.
+        method = {"DegenerateInput": "MrWald", "DegenerateDesign": "Egger"}[error]
+        assert json.loads(err) == {"error": error, "message": message, "method": method}
         assert out == ""
+
+    def test_error_record_names_the_failing_method(self, tmp_path, capsys):
+        tr, oug, ouy = write_inputs(tmp_path, p=2)
+        code, out, err = run_cli(
+            capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+            "--outcome", ouy, "--methods", "MrWald,Egger,Ivw", "--boot", "50")
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert (record["error"], record["method"]) == ("DegenerateDesign", "Egger")
 
 
 class TestHetTest:

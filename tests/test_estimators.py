@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from mrhetero import (
     Method,
     MrEstimate,
     VanishingDenominator,
+    as_triple_arrays,
     estimate,
     estimate_many,
     mr_wald,
@@ -267,6 +269,22 @@ class TestEstimateMany:
             Method.EGGER: ["intercept", "bootstrap_failed"],
             Method.WEIGHTED_MEDIAN: ["bootstrap_failed"],
         }
+
+    def test_a_fit_that_does_not_build_leaves_other_methods_alone(self):
+        # Every weight se_capgamma_ou**-2 underflows to 0, so the inverse-variance
+        # outcome fit cannot be built; MrWaldR does not use it.
+        t, _, _ = random_triples(np.random.default_rng(7), 30, noise=0.05)
+        a = as_triple_arrays(t)
+        a.se_capgamma_ou[:] = 1e170
+        boot = BootstrapConfig(n_boot=60, seed=5)
+        with pytest.raises(ValueError, match="all weights must be strictly positive"):
+            estimate(Method.MR_WALD, a, boot)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = estimate(Method.MR_WALD_R, a, boot)
+        assert e.beta == -1.2334612916359757
+        assert e.se == pytest.approx(0.014656943303314553, rel=1e-12, abs=0.0)
+        assert e.auxiliary["bootstrap_failed"] == 0.0
 
     def test_without_bootstrap_gives_points(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)

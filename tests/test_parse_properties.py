@@ -10,6 +10,7 @@ import csv
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mrhetero import (
     harmonize,
     parse_summary_file,
 )
+from mrhetero import summary_data
 from mrhetero.summary_data import TripleArrays
 
 FIELDS = ("snp", "effect_allele", "other_allele", "beta", "se", "n")
@@ -156,6 +158,37 @@ def summary_files(draw) -> bytes:
 @given(content=summary_files(), lenient=st.booleans())
 def test_columnar_parse_matches_the_row_loop(content, lenient):
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.tsv"
+        path.write_bytes(content)
+        assert outcome(columnar_parse, path, lenient) == outcome(reference_parse, path, lenient)
+
+
+@st.composite
+def regular_files(draw) -> bytes:
+    """Quote-free TSV bytes with at least one row, every row holding the
+    header's cell count: valid, invalid or whitespace-only cells, and maybe a
+    column that no field reads."""
+    fields = list(draw(st.sampled_from([FIELDS, FIELDS[:5], FIELDS + ("info",)])))
+    order = draw(st.permutations(fields))
+    lines = [b"\t".join(f.encode() for f in order)]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(b"\t".join(draw(st.sampled_from([b"", b" ", b"  "])) for _ in order))
+            continue
+        row = {**draw(data_row), "info": draw(st.sampled_from([b"x", b"", b"\xe9"]))}
+        lines.append(b"\t".join(row[f] for f in order))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    if not draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=regular_files(), lenient=st.booleans())
+def test_one_split_parse_of_regular_files_matches_the_row_loop(content, lenient):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(summary_data, "_transpose", side_effect=AssertionError("not one split")):
         path = Path(tmp) / "panel.tsv"
         path.write_bytes(content)
         assert outcome(columnar_parse, path, lenient) == outcome(reference_parse, path, lenient)
