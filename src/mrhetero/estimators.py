@@ -182,8 +182,9 @@ def _counted_evaluator(methods, a: TripleArrays):
             except ValueError:  # a method using the fit has failed its point estimate
                 continue
     terms = np.hstack([fit.terms for fit in built.values()])
-    splits = np.cumsum([fit.terms.shape[1] for fit in built.values()])[:-1]
+    ends = np.cumsum([fit.terms.shape[1] for fit in built.values()])
     used = {key for m in methods for key in _FITS[m] if key is not None}
+    columns = {key: slice(end - built[key].terms.shape[1], end) for key, end in zip(built, ends) if key in used}
     abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
     ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
 
@@ -192,8 +193,8 @@ def _counted_evaluator(methods, a: TripleArrays):
             counts = resample_counts(indices, len(a))
             # np.dot, not @: for these shapes matmul holds the GIL and np.dot
             # releases it, so threaded chunks overlap. The two agree bitwise.
-            parts = dict(zip(built, np.hsplit(np.dot(counts, terms), splits)))
-            fits = {key: built[key].reduce(counts, parts[key]) for key in used}
+            sums = np.dot(counts, terms)
+            fits = {key: built[key].reduce(counts, sums[:, c]) for key, c in columns.items()}
             scale = None
             rows = []
             for m in methods:

@@ -286,7 +286,7 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
 
     body, width, rows = lines[1:], len(header), None
-    if '"' not in text and set(map(str.count, body, ["\t"] * len(body))) == {width - 1}:
+    if '"' not in text and {line.count("\t") for line in body} == {width - 1}:
         # A regular file: every line holds the header's cell count, so one
         # split holds the cells row by row and column k is every width-th.
         flat = "\t".join(body).split("\t")

@@ -227,6 +227,7 @@ class TestAnalyze:
         (1, "Egger,MrWald", "DegenerateDesign"),
         (1, "Divw,MrWald", "DegenerateInput"),
         (2, "MrWald,Egger", "DegenerateDesign"),
+        (2, "MrWald,Egger,Ivw", "DegenerateDesign"),
     ])
     def test_first_failing_method_in_order_sets_the_error(self, tmp_path, capsys, p, methods, error):
         # Methods share one bootstrap pass, but the error reported is still
@@ -244,15 +245,6 @@ class TestAnalyze:
         method = {"DegenerateInput": "MrWald", "DegenerateDesign": "Egger"}[error]
         assert json.loads(err) == {"error": error, "message": message, "method": method}
         assert out == ""
-
-    def test_error_record_names_the_failing_method(self, tmp_path, capsys):
-        tr, oug, ouy = write_inputs(tmp_path, p=2)
-        code, out, err = run_cli(
-            capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
-            "--outcome", ouy, "--methods", "MrWald,Egger,Ivw", "--boot", "50")
-        assert (code, out) == (2, "")
-        record = json.loads(err)
-        assert (record["error"], record["method"]) == ("DegenerateDesign", "Egger")
 
 
 class TestHetTest:
