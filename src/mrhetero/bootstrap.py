@@ -196,9 +196,9 @@ def bootstrap_chunks(
 
     Replicates are drawn in chunks of ``_CHUNK``, each row from its own
     stream, and ``evaluate`` maps a chunk's rows (the ``p`` resample indices
-    each stream returns, not copied into a matrix) to the values of every
-    estimator on every row and the mask of rows on which each succeeded
-    (both ``len(points) x rows``). Chunks run on ``workers`` threads; their
+    each stream returns) to the values of every estimator on every row and
+    the mask of rows on which each succeeded (both ``len(points) x
+    rows``). Chunks run on ``workers`` threads; their
     boundaries are fixed, so the results do not depend on ``workers``. An
     exception ``evaluate`` raises propagates from the lowest chunk.
     """
@@ -249,9 +249,7 @@ def _summarise(
 
 
 def z_quantile(level: float) -> float:
-    """Two-sided standard-normal critical value for the given level."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be strictly between 0 and 1")
+    """Two-sided standard-normal critical value for a level strictly between 0 and 1."""
     p = 0.5 * (1.0 + level)
     # p rounds to 1.0 for levels within an ulp of 1, where inv_cdf raises.
     return math.inf if p == 1.0 else NormalDist().inv_cdf(p)

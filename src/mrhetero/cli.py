@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from .bootstrap import BootstrapConfig, CiKind
-from .errors import DataError, MrHeteroError
+from .errors import DataError
 from .estimators import Method, estimate_many
 from .heterogeneity import het_test
 from .simulation import GFunction, ScenarioConfig, run_scenario, thread_count
@@ -150,14 +150,10 @@ def _fmt_cell(v) -> str:
 
 
 def _load_inputs(args, *paths):
-    """Parse the summary files at ``paths`` in order and harmonize them."""
+    """Parse each distinct summary file of ``paths`` once and harmonize them in order."""
     columns = _parse_columns(args.columns)
-    tables = [parse_summary_file(path, columns, lenient=args.lenient) for path in paths]
-    if len(tables) == 2:
-        # Heterogeneity testing needs only the two exposure files; reuse the
-        # outcome-cohort exposure records to fill the unused outcome slot.
-        tables.append(tables[1])
-    return harmonize(*tables, policy=args.palindromic)
+    tables = {path: parse_summary_file(path, columns, lenient=args.lenient) for path in dict.fromkeys(paths)}
+    return harmonize(*(tables[path] for path in paths), policy=args.palindromic)
 
 
 def _bootstrap_config(args, seed: int, ci_kind: CiKind) -> BootstrapConfig:
@@ -176,7 +172,7 @@ def cmd_analyze(args) -> int:
     het = het_test(triples)
     estimates = estimate_many(methods, triples, boot, workers)
     for method, e in zip(methods, estimates):
-        if isinstance(e, MrHeteroError):
+        if isinstance(e, DataError):
             e.details["method"] = method.value
             raise e
     doc = _round_doc(
@@ -219,7 +215,8 @@ def _analyze_tsv(doc: dict) -> str:
 
 
 def cmd_het_test(args) -> int:
-    triples, _report = _load_inputs(args, args.treatment, args.outcome_exposure)
+    # The test reads only the exposure files; the outcome-exposure file fills the outcome slot.
+    triples, _report = _load_inputs(args, args.treatment, args.outcome_exposure, args.outcome_exposure)
     het = het_test(triples)
     doc = _round_doc({"het_test": het.to_json_dict()})
     h = doc["het_test"]

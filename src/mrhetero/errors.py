@@ -7,16 +7,16 @@ can emit a single-line machine-readable record without string parsing.
 from __future__ import annotations
 
 
-class MrHeteroError(Exception):
-    """Base class for all package errors."""
+class DataError(Exception):
+    """Base class of every package error: input data is missing, malformed,
+    or unusable (CLI exit code 2). ``MrHeteroError`` is the same class."""
 
     def __init__(self, message: str = "", **details):
         super().__init__(message or self.__class__.__name__)
         self.details = details
 
 
-class DataError(MrHeteroError):
-    """Input data is missing, malformed, or unusable (CLI exit code 2)."""
+MrHeteroError = DataError
 
 
 class MissingColumn(DataError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .bootstrap import BootstrapConfig, _evaluate_copy, bootstrap_chunks, normal_ci, resample_counts
-from .errors import MrHeteroError, VanishingDenominator
+from .errors import DataError, VanishingDenominator
 from .kernels import WeightedPairs
 from .summary_data import TripleArrays, as_triple_arrays
 
@@ -226,7 +226,6 @@ def point_estimator(method: Method):
     def call(triples) -> float:
         return _point(method, as_triple_arrays(triples))[0]
 
-    call.__name__ = f"point_{method.value}"
     return call
 
 
@@ -238,7 +237,7 @@ def estimate(method: Method, triples, boot: BootstrapConfig | None = None) -> Mr
     matching normal interval (the variance the method is known by).
     """
     (result,) = estimate_many([method], triples, boot)
-    if isinstance(result, MrHeteroError):
+    if isinstance(result, DataError):
         raise result
     return result
 
@@ -249,7 +248,7 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     Every bootstrapped method reads the same resample of each replicate
     (:func:`~mrhetero.bootstrap.bootstrap_chunks`, on ``workers`` threads),
     evaluated from its SNP counts, so each result equals the one-method call. Returns, in method order, each
-    :class:`MrEstimate` or the :class:`~mrhetero.errors.MrHeteroError` that
+    :class:`MrEstimate` or the :class:`~mrhetero.errors.DataError` that
     :func:`estimate` alone would raise for it: the point estimate's error
     first, then the bootstrap's. Errors of any other type propagate.
     """
@@ -259,7 +258,7 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
     for method in methods:
         try:
             beta, aux = _point(method, a)
-        except MrHeteroError as exc:
+        except DataError as exc:
             out.append(exc)
             continue
         e = MrEstimate(method=method, beta=beta, n_snps=len(a), auxiliary=aux)
@@ -278,10 +277,10 @@ def estimate_many(methods, triples, boot: BootstrapConfig | None = None, workers
             _counted_evaluator([out[k].method for k in booted], a), len(a), boot,
             [out[k].beta for k in booted], workers,
         )
-    except MrHeteroError as exc:
+    except DataError as exc:
         results = [exc] * len(booted)
     for k, res in zip(booted, results):
-        if isinstance(res, MrHeteroError):
+        if isinstance(res, DataError):
             out[k] = res
         else:
             out[k] = _with_interval(out[k], res.se, res.ci_low, res.ci_high, boot.level,

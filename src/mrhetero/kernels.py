@@ -111,16 +111,12 @@ def wls_intercept(d: WeightedPairs) -> tuple[float, float]:
 
 
 def _weighted_median(values: np.ndarray, masses: np.ndarray) -> float:
-    """Minimizer of ``sum_j m_j |v_j - t|``; midpoint when the minimum is flat."""
-    order = np.argsort(values)
-    return _sorted_weighted_median(values[order], np.cumsum(masses[order]))
-
-
-def _sorted_weighted_median(v: np.ndarray, cum: np.ndarray) -> float:
-    """:func:`_weighted_median` of ascending ``v`` from its cumulative masses ``cum``.
+    """Minimizer of ``sum_j m_j |v_j - t|``; midpoint when the minimum is flat.
 
     Points of zero mass are skipped.
     """
+    order = np.argsort(values)
+    v, cum = values[order], np.cumsum(masses[order])
     half = 0.5 * cum[-1]
     k = int(np.searchsorted(cum, half))
     if cum[k] == half:
@@ -157,16 +153,20 @@ def weighted_median_ratio(triples) -> float:
 
     Each usable SNP contributes ``capgamma_ou / gamma_tr`` weighted by the
     inverse of its first-order (delta-method) variance. SNPs with a zero
-    exposure association are dropped with a warning. The median is the
-    standard interpolated one: cumulative weight fractions
+    exposure association are dropped with a warning, and those whose
+    variance overflows, so that their weight is zero, without one. The
+    median is the standard interpolated one: cumulative weight fractions
     ``s_j = (cum_j - w_j/2) / total`` with linear interpolation at 0.5.
     """
-    usable, ratios, w = _median_terms(as_triple_arrays(triples))
-    n_dropped = int((~usable).sum())
+    a = as_triple_arrays(triples)
+    used, ratios, w = _median_terms(a)
+    n_dropped = int((a.gamma_tr == 0.0).sum())
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} SNPs with zero exposure association", stacklevel=2)
-    if not np.any(usable):
+    if n_dropped == len(a):
         raise DegenerateDesign("no SNP with a nonzero exposure association")
+    if not np.any(used):
+        raise DegenerateDesign("the usable SNPs' inverse variances sum to zero")
     order = np.argsort(ratios)
     r = ratios[order]
     ws = w[order]
@@ -175,13 +175,16 @@ def weighted_median_ratio(triples) -> float:
 
 
 def _median_terms(a):
-    """SNPs with ``gamma_tr != 0``, their ratio estimates and inverse delta-method variances."""
-    usable = a.gamma_tr != 0.0
-    g = a.gamma_tr[usable]
-    var = a.se_capgamma_ou[usable] ** 2 / g**2 + (
-        a.capgamma_ou[usable] ** 2 * a.se_gamma_tr[usable] ** 2
-    ) / (g * g) ** 2  # not g**4: numpy's vectorised power is not exactly even in g
-    return usable, a.capgamma_ou[usable] / g, 1.0 / var
+    """SNPs with ``gamma_tr != 0`` and a positive weight, their ratio estimates
+    and weights, the inverse delta-method variances."""
+    used = a.gamma_tr != 0.0
+    g = a.gamma_tr[used]
+    with np.errstate(over="ignore"):  # an infinite variance is a zero weight
+        w = 1.0 / (a.se_capgamma_ou[used] ** 2 / g**2 + (
+            a.capgamma_ou[used] ** 2 * a.se_gamma_tr[used] ** 2
+        ) / (g * g) ** 2)  # not g**4: numpy's vectorised power is not exactly even in g
+    used[used] = w > 0.0
+    return used, a.capgamma_ou[used] / a.gamma_tr[used], w[w > 0.0]
 
 
 class CountedFit(NamedTuple):
@@ -313,7 +316,7 @@ def _search(cum: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
 
 
 def _l1_medians(v: np.ndarray, m: np.ndarray, cum: np.ndarray, total: np.ndarray):
-    """:func:`_sorted_weighted_median` of each resample, and whether its window resolves it.
+    """:func:`_weighted_median` of each resample, and whether its window resolves it.
 
     Column ``c`` of ``cum`` and entry ``c`` of the ascending ``v`` and the
     masses ``m`` belong to one sorted position: column 0 to the last before

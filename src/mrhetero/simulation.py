@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _apply_typing, _replicate_rng, stream_seed
-from .errors import DataError, DegenerateInput, MrHeteroError
+from .errors import DataError, DegenerateInput
 from .estimators import Method, estimate_many
 from .summary_data import TripleArrays, blocked_regressions
 
@@ -49,8 +49,8 @@ MAX_P = 10**6
 #: length-``n`` float64 noise vectors, 80 MB each at this bound.
 MAX_N = 10**7
 
-#: Largest accepted ``n_replicates``, beyond any Monte-Carlo study: on more than
-#: one thread every replicate's task is queued at once, about 2 KB each.
+#: Largest accepted ``n_replicates``, beyond any Monte-Carlo study: every
+#: replicate's task is queued on the thread pool at once, about 2 KB each.
 MAX_REPLICATES = 10**5
 
 
@@ -423,7 +423,7 @@ def _replicate_results(cfg: ScenarioConfig, methods, boot: BootstrapConfig, r: i
     boot_r = replace(boot, seed=stream_seed(boot.seed, r, domain=1))
     # Every error estimate_many returns is the method failing on this replicate.
     return {
-        m: None if isinstance(est, MrHeteroError) else (est.beta, est.ci_low, est.ci_high)
+        m: None if isinstance(est, DataError) else (est.beta, est.ci_low, est.ci_high)
         for m, est in zip(methods, estimate_many(methods, arrays, boot_r))
     }
 
@@ -451,13 +451,9 @@ def run_scenario(
     if cfg.n_replicates < 2:
         raise DegenerateInput("at least 2 replicates required")
 
-    if workers == 1:
-        results = [_replicate_results(cfg, methods, boot, r) for r in range(cfg.n_replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda r: _replicate_results(cfg, methods, boot, r), range(cfg.n_replicates))
-            )
+    # map yields in order and cancels the replicates not yet started when one raises.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda r: _replicate_results(cfg, methods, boot, r), range(cfg.n_replicates)))
 
     summaries = {}
     for m in methods:

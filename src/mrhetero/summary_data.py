@@ -285,20 +285,19 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
             raise MissingColumn(colmap[field]) from None
     n_pos = names.index(colmap["n"]) if colmap["n"] in names else None
 
-    body, width, rows = lines[1:], len(header), None
+    body, width = lines[1:], len(header)
     if '"' not in text and {line.count("\t") for line in body} == {width - 1}:
         # A regular file: every line holds the header's cell count, so one
         # split holds the cells row by row and column k is every width-th.
         flat = "\t".join(body).split("\t")
         cols, bad = [flat[k::width] for k in range(width)], np.zeros(len(body), dtype=bool)
     else:
-        rows = list(map(_cells, body)) if '"' in text else [line.split("\t") for line in body]
-        cols, bad = _transpose(rows, positions, n_pos)
+        cols, bad = _transpose(list(map(_cells, body)), positions, n_pos)
     table = _columns(cols, bad, positions, n_pos)
     if not _is_utf8(text):
         bad |= [not _is_utf8(line) for line in body]
-    if rows is None:  # only the rejected rows of a regular file are split again
-        rows = {i: body[i].split("\t") for i in np.flatnonzero(bad)}
+    # Only the rejected rows are read again, cell by cell.
+    rows = {i: _cells(body[i]) for i in np.flatnonzero(bad)}
     # A blank row (every cell whitespace) is skipped, not dropped. Each one
     # breaks a rule, so only the rejected rows need looking at.
     blank = np.zeros_like(bad)
@@ -475,8 +474,8 @@ def harmonize(
     if policy not in ("drop", "keep"):
         raise ValueError(f"palindromic policy must be 'drop' or 'keep', got {policy!r}")
     tr, g, G = (as_snp_arrays(x) for x in (treatment, outcome_exposure, outcome))
-    # ``het-test`` passes the outcome-exposure table again as the outcome;
-    # it is indexed and joined once.
+    # One table given as both outcome-cohort inputs (by ``het-test``, or a
+    # path given twice to ``analyze``) is indexed and joined once.
     index_tr, index_g = _id_index(tr), _id_index(g)
     index_G = index_g if G is g else _id_index(G)
     union = index_tr.keys() | index_g.keys() | index_G.keys()

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import HarmonizedTriple, Method, SnpRecord, simulation
-from mrhetero.cli import _parse_methods, main
+from mrhetero import HarmonizedTriple, Method, SnpRecord, cli, parse_summary_file, simulation
+from mrhetero.cli import _parse_methods, _scenario_config, build_parser, main
 
 BETA0 = -0.3
 B_HET = 1.4
@@ -757,3 +757,164 @@ def test_het_test_loads_scipy(tmp_path):
         "from mrhetero.cli import main\n"
         f"assert main(['het-test', '--treatment', {tr!r}, '--outcome-exposure', {oug!r}]) == 0"
     ) == "True"
+
+
+def _record(capsys, *argv) -> dict:
+    """The one exit-2 record ``argv`` writes, with nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    return json.loads(err)
+
+
+class TestUsageChecks:
+    """Each usage check of the CLI, with the exit-2 record it writes."""
+
+    @pytest.mark.parametrize("flags,record", [
+        (["--methods", " , "], {"message": "at least one method must be selected"}),
+        (["--columns", "snp=rsid,beta"], {"message": "column override 'beta' is not of the form field=header"}),
+    ])
+    def test_analyze_flags(self, tmp_path, capsys, flags, record):
+        tr, oug, ouy = write_inputs(tmp_path)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy, *flags]
+        assert _record(capsys, *argv) == {"error": "DataError", **record}
+
+    def test_unknown_g_specification(self, capsys):
+        assert _record(capsys, "simulate", "--g", "cubic") == {
+            "error": "DataError", "message": "unknown g specification 'cubic'", "g": "cubic"}
+
+    @pytest.mark.parametrize("text,message", [
+        ("# x\ty\n0.0\t0.0\n0.1 0.2 0.3\n", "{path}:3: expected two numeric columns"),
+        ("0.0\n", "{path}:1: expected two numeric columns"),
+        ("# only a comment\n\n", "g table file {path} contains no knots"),
+    ])
+    def test_g_table_without_two_columns_or_knots(self, tmp_path, capsys, text, message):
+        table = tmp_path / "g.tsv"
+        table.write_text(text)
+        assert _record(capsys, "simulate", "--g", f"table:{table}") == {
+            "error": "DataError", "message": message.format(path=table), "path": str(table)}
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"p"', "3", "null"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(text)
+        assert _record(capsys, "simulate", "--config", str(cfg_path)) == {
+            "error": "DataError", "message": "config file must contain a JSON object"}
+
+    def test_weighted_median_of_zero_total_weight(self, tmp_path, capsys):
+        # Every outcome se is 1e170, so every SNP's variance overflows and
+        # its weight is 0; the method fails with no RuntimeWarning record.
+        tr, oug, ouy = write_inputs(tmp_path, p=30)
+        header, *rows = (line.split("\t") for line in open(ouy).read().splitlines())
+        rows = [[*row[:4], "1e170", *row[5:]] for row in rows]
+        with open(ouy, "w") as fh:
+            fh.write("".join("\t".join(row) + "\n" for row in [header, *rows]))
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy,
+                "--methods", "WeightedMedian"]
+        assert _record(capsys, *argv) == {
+            "error": "DegenerateDesign", "message": "the usable SNPs' inverse variances sum to zero",
+            "method": "WeightedMedian"}
+
+
+def _rename_headers(path, names: dict) -> str:
+    """A copy of the summary file at ``path`` with its header cells renamed by ``names``."""
+    header, body = open(path).read().split("\n", 1)
+    renamed = path.replace(".tsv", "_renamed.tsv")
+    with open(renamed, "w") as fh:
+        fh.write("\t".join(names.get(h, h) for h in header.split("\t")) + "\n" + body)
+    return renamed
+
+
+class TestAcceptedFlags:
+    """Flags taken on their accepted path give the same bytes as their plain equivalent."""
+
+    @pytest.mark.parametrize("names,columns", [
+        ({"snp": "rsid", "effect_allele": "ea", "other_allele": "oa", "beta": "b", "se": "stderr", "n": "N"},
+         "snp=rsid, effect_allele = ea,other_allele=oa,beta=b,se=stderr,n=N"),
+        ({"snp": "rsid", "beta": "b"}, "snp=rsid,,beta=b"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "het-test"])
+    def test_columns_remap(self, tmp_path, capsys, names, columns, command):
+        paths = write_inputs(tmp_path, p=20, shift_ou=0.5)
+        renamed = [_rename_headers(path, names) for path in paths]
+        outs = []
+        for (tr, oug, ouy), extra in ((paths, []), (renamed, ["--columns", columns])):
+            argv = [command, "--treatment", tr, "--outcome-exposure", oug, *extra]
+            if command == "analyze":
+                argv += ["--outcome", ouy, "--methods", "MrWaldR,Egger", "--boot", "60"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[1] == outs[0]
+
+    def test_empty_method_token_is_skipped(self, tmp_path, capsys):
+        tr, oug, ouy = write_inputs(tmp_path)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy, "--boot", "60"]
+        plain = run_cli(capsys, *argv, "--methods", "MrWald,Ivw")
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--methods", "MrWald,,Ivw") == plain
+
+    def test_maf_flag_equals_the_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps({"maf": 0.4}))
+        argv = ["simulate", "--scenario", "i", "--replicates", "3", "--p", "8", "--n", "400",
+                "--boot", "20", "--seed", "2"]
+        flag = run_cli(capsys, *argv, "--maf", "0.4")
+        assert flag[0] == 0 and json.loads(flag[1])["config"]["maf"] == 0.4
+        assert run_cli(capsys, *argv, "--config", str(cfg_path)) == flag
+
+    def test_boot_seed(self, capsys):
+        argv = ["simulate", "--scenario", "i", "--replicates", "4", "--p", "8", "--n", "400",
+                "--boot", "30", "--seed", "5", "--methods", "MrWald,MrWaldR"]
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0
+        # The bootstrap seed defaults to the scenario seed.
+        assert run_cli(capsys, *argv, "--boot-seed", "5") == default
+        # Another seed draws other resamples, which leave the point estimates alone.
+        code, out, _ = run_cli(capsys, *argv, "--boot-seed", "6")
+        assert code == 0
+        before, after = (json.loads(text)["summary"]["methods"] for text in (default[1], out))
+        for name in ("MrWald", "MrWaldR"):
+            for metric in ("bias_pct", "rmse_pct"):
+                assert after[name][metric] == before[name][metric]
+            assert after[name]["ci_length_pct"] != before[name]["ci_length_pct"]
+
+    @pytest.mark.parametrize("argv,n", [
+        (["--scenario", "v"], 100_000),
+        (["--scenario", "v", "--n", "500"], 500),
+        (["--scenario", "iv"], 10_000),
+    ])
+    def test_scenario_default_cohort_size(self, argv, n):
+        # Only the config is built: no replicate is generated.
+        args = build_parser().parse_args(["simulate", *argv])
+        assert _scenario_config(args).n == n
+
+    def test_scenario_default_yields_to_the_config_file(self, tmp_path):
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps({"n": 700}))
+        args = build_parser().parse_args(["simulate", "--scenario", "v", "--config", str(cfg_path)])
+        assert _scenario_config(args).n == 700
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_path_given_twice_is_read_once(tmp_path, capsys, monkeypatch, lenient):
+    # The Egger diagnostic passes the outcome-exposure file as the outcome.
+    tr, oug, _ = write_inputs(tmp_path, shift_ou=0.5)
+    with open(oug, "a") as fh:
+        fh.write("rs99\tA\tG\tbad\t0.01\t5000\n")
+    copy = tmp_path / "copy.tsv"
+    copy.write_text(open(oug).read())
+    flags = ["--methods", "Egger", "--boot", "60", *(["--lenient"] if lenient else [])]
+    code, out, _ = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+                           "--outcome", str(copy), *flags)
+    reads = []
+    monkeypatch.setattr(cli, "parse_summary_file",
+                        lambda path, *args, **kw: reads.append(path) or parse_summary_file(path, *args, **kw))
+    twice = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", oug, *flags)
+    assert twice[:2] == (code, out) == ((0, out) if lenient else (2, ""))
+    assert reads == [tr, oug]
+    if lenient:
+        record = {"warning": "UserWarning", "message": f"dropped 1 malformed rows from {oug}"}
+    else:
+        reason = "could not convert string to float: 'bad'"
+        record = {"error": "MalformedRow", "message": f"malformed row at line 14: {reason}", "line": 14, "reason": reason}
+    assert [json.loads(line) for line in twice[2].splitlines()] == [record]

@@ -19,6 +19,7 @@ from mrhetero import (
     mr_wald,
     mr_wald_d,
     mr_wald_r,
+    weighted_median_ratio,
 )
 from mrhetero.estimators import _held_max
 from mrhetero.kernels import l1_origin, WeightedPairs
@@ -286,9 +287,30 @@ class TestEstimateMany:
         assert e.se == pytest.approx(0.014656943303314553, rel=1e-12, abs=0.0)
         assert e.auxiliary["bootstrap_failed"] == 0.0
 
+    def test_weighted_median_of_zero_total_weight_fails(self):
+        # Every variance se_capgamma_ou**2 / gamma_tr**2 overflows, so every
+        # inverse-variance weight is 0 and the median is not defined.
+        t, _, _ = random_triples(np.random.default_rng(7), 30, noise=0.05)
+        a = as_triple_arrays(t)
+        a.se_capgamma_ou[:] = 1e170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesign, match="^the usable SNPs' inverse variances sum to zero$"):
+                weighted_median_ratio(a)
+            with pytest.raises(DegenerateDesign, match="^the usable SNPs' inverse variances sum to zero$"):
+                estimate(Method.WEIGHTED_MEDIAN, a, BootstrapConfig(n_boot=60, seed=5))
+
     def test_without_bootstrap_gives_points(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)
         assert estimate_many(list(Method), t) == [estimate(m, t) for m in Method]
+
+
+class TestMrEstimate:
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, float("nan")])
+    def test_level_outside_the_open_unit_interval(self, level):
+        with pytest.raises(ValueError) as info:
+            MrEstimate(method=Method.MR_WALD, beta=0.1, n_snps=3, level=level)
+        assert str(info.value) == "level must be strictly between 0 and 1"
 
 
 class TestOracleVariance:

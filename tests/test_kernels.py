@@ -227,6 +227,22 @@ class TestWeightedMedianRatio:
             a = np.array([x.capgamma_ou / x.gamma_tr for x in t])
             assert a.min() <= weighted_median_ratio(t) <= a.max()
 
+    def test_snps_of_zero_weight_take_no_part(self):
+        # The third SNP's variance overflows, so its weight is 0: it is left
+        # out of the median, without a warning.
+        full = make_triples([0.2, 0.3, 0.25], [0.01] * 3, [0.2, 0.3, 0.25], [0.01] * 3,
+                            [0.1, 0.12, 0.11], [0.01, 0.02, 1e170])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_median_ratio(full) == weighted_median_ratio(full[:2])
+
+    def test_no_nonzero_exposure_association(self):
+        t = make_triples([0.0] * 3, [0.01] * 3, [0.1] * 3, [0.01] * 3, [0.1] * 3, [0.01] * 3)
+        with pytest.warns(UserWarning, match="^dropped 3 SNPs with zero exposure association$"):
+            with pytest.raises(DegenerateDesign) as info:
+                weighted_median_ratio(t)
+        assert str(info.value) == "no SNP with a nonzero exposure association"
+
 
 class TestCountedMedians:
     """The counted L1 and weighted-median fits on hand-made count rows.
@@ -400,3 +416,23 @@ class TestIvStrength:
         ks = iv_strength_diagnostics(t)
         assert ks.kappa_tr == pytest.approx(ks.kappa_ou, rel=1e-12)
         assert ks.kappa_co == pytest.approx(ks.kappa_tr, rel=1e-12)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("x,y,w,message", [
+        ([[1.0, 2.0]], [[1.0, 2.0]], [[1.0, 1.0]], "x, y, w must be 1-D"),
+        ([1.0, 2.0], [1.0], [1.0, 1.0], "x, y, w must have equal length"),
+        ([], [], [], "at least one point required"),
+    ])
+    def test_weighted_pairs(self, x, y, w, message):
+        with pytest.raises(ValueError) as info:
+            WeightedPairs(x, y, w)
+        assert str(info.value) == message
+
+    def test_divw_variance_of_zero_debiased_strength(self):
+        # gamma_tr equals its se, so each debiased strength is exactly 0.
+        t = make_triples([0.1, 0.2], [0.1, 0.2], [0.1, 0.2], [0.01] * 2, [0.05, 0.1], [0.01] * 2)
+        with pytest.raises(VanishingDenominator) as info:
+            divw_variance(t, beta=0.5)
+        assert str(info.value) == "debiased instrument strength is zero"
+        assert info.value.details == {"value": 0.0}

@@ -4,6 +4,8 @@ Each example draws a panel from a hypothesis-chosen seed and size, so the
 data stay in the estimators' valid range while hypothesis explores it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,25 @@ def test_counted_bootstrap_keeps_the_flat_l1_midpoint():
         slope = l1_origin(WeightedPairs(sample.gamma_tr, sample.capgamma_ou, np.ones(p)))
         midpoints += slope not in set(sample.capgamma_ou / sample.gamma_tr)
     assert midpoints > 0
+
+
+def test_counted_bootstrap_fails_weighted_median_resamples_of_zero_weight():
+    # Every SNP but two has an overflowing variance, so zero weight: about
+    # 0.9^20 of the resamples hold no weight and must fail as their copies
+    # do. Only WeightedMedian: the inverse-variance fits do not build here.
+    _, a = draw_panel(12, 20)
+    a.se_capgamma_ou[2:] = 1e170
+    for ci_kind in CiKind:
+        boot = BootstrapConfig(n_boot=200, seed=6, ci_kind=ci_kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (e,) = estimate_many([Method.WEIGHTED_MEDIAN], a, boot)
+            assert estimate_many([Method.WEIGHTED_MEDIAN], a, boot, workers=3) == [e]
+            ref = bootstrap(point_estimator(Method.WEIGHTED_MEDIAN), a, boot, e.beta)
+        assert 0 < ref.n_failed < 100
+        assert e.auxiliary["bootstrap_failed"] == ref.n_failed
+        assert e.se == pytest.approx(ref.se, rel=1e-12, abs=0.0)
+        assert (e.ci_low, e.ci_high) == pytest.approx((ref.ci_low, ref.ci_high), rel=1e-12, abs=1e-12 * ref.se)
 
 
 @pytest.mark.filterwarnings("ignore:dropped 1 SNPs")

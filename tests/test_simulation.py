@@ -11,6 +11,7 @@ from mrhetero import (
     BootstrapConfig,
     DataError,
     DegenerateGenotype,
+    DegenerateInput,
     GFunction,
     Method,
     Pleiotropy,
@@ -76,6 +77,20 @@ class TestConfig:
             ScenarioConfig(gamma_tr_low=0.2, gamma_tr_high=0.1)
         with pytest.raises(ValueError):
             Pleiotropy(kind="weird")
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: GFunction.tabulated([]), "tabulated g needs at least one knot"),
+        (lambda: Pleiotropy.balanced(tau0=-0.01), "tau0 must be nonnegative"),
+        (lambda: Pleiotropy.idiosyncratic_multi(n_contaminated=0), "idiosyncratic_multi needs n_contaminated >= 1"),
+        (lambda: ScenarioConfig(n=2), "n must be at least 3 to identify the marginal regressions"),
+        (lambda: ScenarioConfig(n_replicates=0), "n_replicates must be positive"),
+        (lambda: ScenarioConfig(seed=-1), "seed must fit in an unsigned 64-bit integer"),
+        (lambda: ScenarioConfig(seed=2**64), "seed must fit in an unsigned 64-bit integer"),
+    ])
+    def test_each_bound(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_more_contaminated_snps_than_snps_rejected(self):
         with pytest.raises(ValueError, match=r"n_contaminated \(5\) must not exceed p \(3\)"):
@@ -340,6 +355,31 @@ class TestRunScenario:
         summary = run_scenario(cfg, [Method.DIVW, Method.MR_WALD, Method.DIVW],
                                BootstrapConfig(n_boot=20, seed=1))
         assert list(summary.methods) == ["Divw", "MrWald"]
+
+    @pytest.mark.parametrize("methods,n_replicates,message", [
+        ([], 4, "at least one method required"),
+        ([Method.MR_WALD], 1, "at least 2 replicates required"),
+    ])
+    def test_too_few_methods_or_replicates(self, monkeypatch, methods, n_replicates, message):
+        # Rejected before any replicate is generated.
+        monkeypatch.setattr(simulation, "simulate_replicate", None)
+        with pytest.raises(DegenerateInput) as info:
+            run_scenario(small_cfg(n_replicates=n_replicates), methods, BootstrapConfig(n_boot=20))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_a_failing_replicate_propagates(self, monkeypatch, threads):
+        monkeypatch.setenv("MR_HETERO_THREADS", threads)
+        real = simulation.simulate_replicate
+
+        def replicate(cfg, r):
+            if r == 2:
+                raise RuntimeError("replicate 2")
+            return real(cfg, r)
+
+        monkeypatch.setattr(simulation, "simulate_replicate", replicate)
+        with pytest.raises(RuntimeError, match="^replicate 2$"):
+            run_scenario(small_cfg(n_replicates=5), [Method.MR_WALD], BootstrapConfig(n_boot=20))
 
     @pytest.mark.slow
     def test_rmse_shrinks_with_scale(self):

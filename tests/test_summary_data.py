@@ -439,3 +439,26 @@ class TestTripleArrays:
             HarmonizedTriple("rs2", *row)
         with pytest.raises(ValueError, match=message):
             TripleArrays.checked(["rs1", "rs2"], *columns)
+
+
+class TestRejectedInputs:
+    def test_header_with_an_unclosed_quote(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        write_tsv(path, ["rs1\tA\tG\t0.1\t0.01\t100"], header='snp\t"effect_allele\tother_allele\tbeta\tse\tn')
+        with pytest.raises(MalformedRow) as info:
+            parse_summary_file(path)
+        reason = "a quoted cell does not close on its line"
+        assert str(info.value) == f"malformed row at line 1: {reason}"
+        assert info.value.details == {"line": 1, "reason": reason}
+
+    def test_unknown_palindromic_policy(self):
+        records = [SnpRecord("rs1", "A", "G", 0.1, 0.01)]
+        with pytest.raises(ValueError) as info:
+            harmonize(records, records, records, policy="flip")
+        assert str(info.value) == "palindromic policy must be 'drop' or 'keep', got 'flip'"
+
+    @pytest.mark.parametrize("z,y", [(np.ones((3, 2)), np.ones((3, 2))), (np.arange(4.0), np.arange(3.0))])
+    def test_marginal_regression_of_other_shapes(self, z, y):
+        with pytest.raises(ValueError) as info:
+            marginal_regression(z, y)
+        assert str(info.value) == "z and y must be 1-D vectors of equal length"
