@@ -125,11 +125,14 @@ def _round_doc(obj):
     return obj
 
 
-def _emit(doc_json: dict, tsv_text: str, args) -> None:
-    if args.output_format == "json":
-        text = json.dumps(doc_json, allow_nan=False) + "\n"
-    else:
-        text = tsv_text
+def _json_line(doc: dict) -> str:
+    """``doc`` as one line of strict JSON, after ``_round_doc``: the rule of every line written."""
+    return json.dumps(_round_doc(doc), allow_nan=False) + "\n"
+
+
+def _emit(doc: dict, tsv, args) -> None:
+    """Write ``doc`` as JSON, or as ``tsv`` of the rounded document."""
+    text = _json_line(doc) if args.output_format == "json" else tsv(_round_doc(doc))
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
         return
@@ -175,14 +178,12 @@ def cmd_analyze(args) -> int:
         if isinstance(e, DataError):
             e.details["method"] = method.value
             raise e
-    doc = _round_doc(
-        {
-            "het_test": het.to_json_dict(),
-            "harmonization": report.to_json_dict(),
-            "estimates": [e.to_json_dict() for e in estimates],
-        }
-    )
-    _emit(doc, _analyze_tsv(doc), args)
+    doc = {
+        "het_test": het.to_json_dict(),
+        "harmonization": report.to_json_dict(),
+        "estimates": [e.to_json_dict() for e in estimates],
+    }
+    _emit(doc, _analyze_tsv, args)
     return 0
 
 
@@ -217,20 +218,18 @@ def _analyze_tsv(doc: dict) -> str:
 def cmd_het_test(args) -> int:
     # The test reads only the exposure files; the outcome-exposure file fills the outcome slot.
     triples, _report = _load_inputs(args, args.treatment, args.outcome_exposure, args.outcome_exposure)
-    het = het_test(triples)
-    doc = _round_doc({"het_test": het.to_json_dict()})
-    h = doc["het_test"]
-    tsv = (
-        "statistic\t%s\ndf\t%s\np_value\t%s\nper_snp\t%s\n"
-        % (
-            _fmt_cell(h["statistic"]),
-            h["df"],
-            _fmt_cell(h["p_value"]),
-            ",".join(_fmt_cell(v) for v in h["per_snp"]),
-        )
-    )
-    _emit(doc, tsv, args)
+    _emit({"het_test": het_test(triples).to_json_dict()}, _het_tsv, args)
     return 0
+
+
+def _het_tsv(doc: dict) -> str:
+    h = doc["het_test"]
+    return "statistic\t%s\ndf\t%s\np_value\t%s\nper_snp\t%s\n" % (
+        _fmt_cell(h["statistic"]),
+        h["df"],
+        _fmt_cell(h["p_value"]),
+        ",".join(_fmt_cell(v) for v in h["per_snp"]),
+    )
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -271,16 +270,15 @@ def cmd_simulate(args) -> int:
     seed = cfg.seed if args.boot_seed is None else args.boot_seed
     boot = _bootstrap_config(args, seed, CiKind.NORMAL_APPROX)
     summary = run_scenario(cfg, methods, boot)
-    doc = _round_doc({"config": cfg.to_json_dict(), "summary": summary.to_json_dict()})
-    _emit(doc, _summary_tsv(doc["summary"]), args)
+    _emit({"config": cfg.to_json_dict(), "summary": summary.to_json_dict()}, _summary_tsv, args)
     return 0
 
 
-def _summary_tsv(summary: dict) -> str:
-    names = list(summary["methods"])
-    lines = ["metric\t" + "\t".join(names)]
-    for metric in summary["methods"][names[0]]:
-        row = [metric] + [_fmt_cell(summary["methods"][n][metric]) for n in names]
+def _summary_tsv(doc: dict) -> str:
+    methods = doc["summary"]["methods"]
+    lines = ["metric\t" + "\t".join(methods)]
+    for metric in next(iter(methods.values())):
+        row = [metric] + [_fmt_cell(m[metric]) for m in methods.values()]
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
@@ -349,12 +347,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # The filters still decide which warnings are shown, each as one JSON record.
-        warnings.showwarning = lambda message, category, *_: print(
-            json.dumps({"warning": category.__name__, "message": str(message)}), file=sys.stderr)
+        warnings.showwarning = lambda message, category, *_: sys.stderr.write(
+            _json_line({"warning": category.__name__, "message": str(message)}))
         try:
             return args.func(args)
         except DataError as exc:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc), **exc.details}), file=sys.stderr)
+            sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc), **exc.details}))
             return 2
         except OSError as exc:
             # A file that is missing, a directory or unreadable is a usage error.
@@ -362,10 +360,10 @@ def main(argv=None) -> int:
             record = {"error": error, "message": str(exc)}
             if exc.filename is not None:
                 record["path"] = str(exc.filename)
-            print(json.dumps(record), file=sys.stderr)
+            sys.stderr.write(_json_line(record))
             return 2
         except ValueError as exc:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+            sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc)}))
             return 1
 
 

@@ -14,6 +14,7 @@ of the output.
 from __future__ import annotations
 
 import copy
+import inspect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -57,17 +58,18 @@ MAX_REPLICATES = 10**5
 class _Kinded:
     """JSON form shared by the config classes whose ``kind`` picks their parameters.
 
-    ``_PARAMS`` maps each kind to the parameters its JSON object carries, in order;
-    ``_KEY`` is the scenario config key. The factory classmethod named after each
-    kind holds its defaults, so a JSON object may leave out any parameter. A
-    parameter its kind does not take must keep its dataclass default.
+    ``_KINDS`` names the kinds; the factory classmethod named after each kind
+    takes the parameters its JSON object carries, in order, and holds their
+    defaults, so a JSON object may leave out any parameter. ``_KEY`` is the
+    scenario config key. A parameter its kind does not take must keep its
+    dataclass default.
     """
 
     @classmethod
     def _params(cls, kind) -> tuple[str, ...]:
-        if not isinstance(kind, str) or kind not in cls._PARAMS:
+        if kind not in cls._KINDS:
             raise ValueError(f"unknown {cls._KEY} kind {kind!r}")
-        return cls._PARAMS[kind]
+        return tuple(inspect.signature(getattr(cls, kind)).parameters)
 
     def __post_init__(self):
         taken = self._params(self.kind)
@@ -78,7 +80,7 @@ class _Kinded:
                 raise ValueError(f"{self._KEY} kind {self.kind!r} takes no {f.name}, got {value!r}")
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, **{k: _json_value(getattr(self, k)) for k in self._PARAMS[self.kind]}}
+        return {"kind": self.kind, **{k: _json_value(getattr(self, k)) for k in self._params(self.kind)}}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -104,12 +106,7 @@ class GFunction(_Kinded):
     knots: tuple[tuple[float, float], ...] = ()
 
     _KEY = "g"
-    _PARAMS = {
-        "identity": (),
-        "affine": ("shift", "scale"),
-        "sinusoid": ("amplitude", "frequency"),
-        "tabulated": ("knots",),
-    }
+    _KINDS = ("identity", "affine", "sinusoid", "tabulated")
 
     def __post_init__(self):
         super().__post_init__()
@@ -160,13 +157,7 @@ class Pleiotropy(_Kinded):
     n_contaminated: int = 0
 
     _KEY = "pleiotropy"
-    _PARAMS = {
-        "none": (),
-        "balanced": ("tau0",),
-        "idiosyncratic_single": ("mu", "tau0"),
-        "idiosyncratic_multi": ("mu", "tau0", "n_contaminated"),
-        "directional": ("mu", "tau0"),
-    }
+    _KINDS = ("none", "balanced", "idiosyncratic_single", "idiosyncratic_multi", "directional")
 
     def __post_init__(self):
         super().__post_init__()

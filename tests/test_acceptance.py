@@ -51,14 +51,34 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_no_pleiotropy_identity_reproduction():
     cfg = ScenarioConfig(p=200, n=10_000, n_replicates=500, seed=101,
                          g=GFunction.identity(), pleiotropy=Pleiotropy.none())
-    summary = run_scenario(cfg, [Method.MR_WALD], BootstrapConfig(n_boot=500, seed=1101))
-    mw = summary.methods["MrWald"]
+    # Divw takes no bootstrap, and each method's bootstrap equals its
+    # one-method call, so MrWald's numbers are those of MrWald alone.
+    summary = run_scenario(cfg, [Method.MR_WALD, Method.DIVW], BootstrapConfig(n_boot=500, seed=1101))
+    mw, dv = summary.methods["MrWald"], summary.methods["Divw"]
     ok = abs(mw.bias_pct - 0.1) <= 1.5 and abs(mw.coverage_pct - 94.2) <= 2.5
     report(
         "criterion 1",
         ok,
         f"no-pleiotropy identity: bias={mw.bias_pct:.2f}% (target 0.1 +/- 1.5), "
         f"coverage={mw.coverage_pct:.1f}% (target 94.2 +/- 2.5), rmse={mw.rmse_pct:.2f}%",
+    )
+    # The paper's efficiency claim under homogeneity: MrWald is no less
+    # efficient than the classic debiased IVW. The bound c is set before any
+    # run from the Monte Carlo error of a ratio at R = 500 replicates. For
+    # near-normal errors the squared errors have relative variance 2, so an
+    # RMSE (the root of their mean) has relative SE 1/sqrt(2R) = 3.2%. The
+    # ratio of two RMSEs, taken as independent (the shared replicates
+    # correlate them positively, which only shrinks the error), has relative
+    # SE 1/sqrt(R) = 4.5%. So c = 1 - 3/sqrt(R) = 0.866: a true ratio of 1,
+    # no gain, passes with probability about 0.1%. The mean CI length is a
+    # mean of 500 lengths whose spread is far below that of squared errors,
+    # so the same c bounds its ratio with more margin.
+    c = 1 - 3 / np.sqrt(cfg.n_replicates)
+    rmse_ratio, length_ratio = mw.rmse_pct / dv.rmse_pct, mw.ci_length_pct / dv.ci_length_pct
+    report(
+        "criterion 1 efficiency",
+        rmse_ratio <= c and length_ratio <= c,
+        f"MrWald / Divw: rmse ratio={rmse_ratio:.2f}, CI length ratio={length_ratio:.2f} (each <= {c:.3f})",
     )
 
 

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import HarmonizedTriple, Method, SnpRecord, cli, parse_summary_file, simulation
+from mrhetero import (HarmonizedTriple, Method, SnpRecord, VanishingDenominator, cli, divw, harmonize,
+                      parse_summary_file, simulation)
 from mrhetero.cli import _parse_methods, _scenario_config, build_parser, main
 
 BETA0 = -0.3
@@ -43,6 +44,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestAnalyze:
@@ -94,7 +103,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", str(bad), "--outcome-exposure", oug,
             "--outcome", ouy)
         assert code == 2
-        record = json.loads(err.strip().splitlines()[-1])
+        record = _strict_json(err.strip().splitlines()[-1])
         assert record == {"error": "MissingColumn",
                           "message": "required column 'se' not found in header",
                           "column": "se"}
@@ -106,7 +115,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
             "--outcome", ouy, "--methods", "Wizardry")
         assert code == 2
-        assert json.loads(err)["error"] == "DataError"
+        assert _strict_json(err)["error"] == "DataError"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--boot", "1", "n_boot must be at least 2"),
@@ -119,7 +128,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
             "--outcome", ouy, flag, value)
         assert code == 2
-        assert json.loads(err) == {"error": "DataError", "message": message}
+        assert _strict_json(err) == {"error": "DataError", "message": message}
         assert out == ""
 
     def test_infinite_sample_size_maps_to_exit_2(self, tmp_path, capsys):
@@ -131,7 +140,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", str(bad), "--outcome-exposure", oug,
             "--outcome", ouy)
         assert code == 2
-        assert json.loads(err)["error"] == "MalformedRow"
+        assert _strict_json(err)["error"] == "MalformedRow"
 
     def test_missing_file_maps_to_exit_2(self, tmp_path, capsys):
         tr, oug, ouy = write_inputs(tmp_path)
@@ -139,7 +148,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", str(tmp_path / "nope.tsv"),
             "--outcome-exposure", oug, "--outcome", ouy)
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "FileNotFound"
         assert "nope.tsv" in record["message"]
 
@@ -149,7 +158,7 @@ class TestAnalyze:
             capsys, "analyze", "--treatment", str(tmp_path / "nope.tsv"),
             "--outcome-exposure", oug, "--outcome", ouy, "--boot", "1")
         assert code == 2
-        assert json.loads(err) == {"error": "DataError", "message": "n_boot must be at least 2"}
+        assert _strict_json(err) == {"error": "DataError", "message": "n_boot must be at least 2"}
         assert out == ""
 
     def test_no_row_objects_on_the_analyze_path(self, tmp_path, capsys, monkeypatch):
@@ -243,7 +252,7 @@ class TestAnalyze:
                    "DegenerateDesign": "at least 3 points required for the intercept fit"}[error]
         # Only MrWald's bootstrap and Egger's intercept fit fail here.
         method = {"DegenerateInput": "MrWald", "DegenerateDesign": "Egger"}[error]
-        assert json.loads(err) == {"error": error, "message": message, "method": method}
+        assert _strict_json(err) == {"error": error, "message": message, "method": method}
         assert out == ""
 
 
@@ -323,7 +332,7 @@ class TestHetTest:
         code, out, err = run_cli(capsys, "het-test", "--treatment", tr,
                                  "--outcome-exposure", oug, "--columns", "bta=beta,snp=snp")
         assert code == 2 and out == ""
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert "'bta'" in record["message"]
         for field in ("snp", "effect_allele", "other_allele", "beta", "se", "n"):
@@ -336,7 +345,7 @@ class TestHetTest:
         code, out, err = run_cli(capsys, "het-test", "--treatment", tr,
                                  "--outcome-exposure", oug, "--output", str(path))
         assert code == 2 and out == ""
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert record["path"] == str(path) and str(path) in record["message"]
 
@@ -378,7 +387,7 @@ class TestUnreadableInput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         (line,) = err.strip().splitlines()
-        record = json.loads(line)
+        record = _strict_json(line)
         assert record["message"]
         assert record["path"] == path
 
@@ -393,7 +402,7 @@ def test_lenient_het_test_drops_a_row_that_is_not_utf8(tmp_path, capsys):
     het = ["het-test", "--lenient", "--outcome-exposure", oug, "--treatment"]
     code, out, err = run_cli(capsys, *het, str(latin1))
     assert code == 0
-    assert [json.loads(line) for line in err.splitlines()] == [
+    assert [_strict_json(line) for line in err.splitlines()] == [
         {"warning": "UserWarning", "message": f"dropped 1 malformed rows from {latin1}"}]
     assert out == run_cli(capsys, *het, str(without))[1]
 
@@ -459,7 +468,7 @@ class TestSimulate:
             capsys, "simulate", "--scenario", "i", "--g", f"table:{table}",
             "--replicates", "2", "--p", "8", "--n", "400", "--boot", "20", "--seed", "1")
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert record["path"] == str(table) and str(table) in record["message"]
         assert out == ""
@@ -470,14 +479,14 @@ class TestSimulate:
         cfg_path.write_text(json.dumps({"g": {"kind": "tabulated", "knots": knots}}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path))
         assert code == 2
-        assert json.loads(err)["error"] == "DataError"
+        assert _strict_json(err)["error"] == "DataError"
         assert out == ""
 
     def test_more_contaminated_snps_than_snps_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--scenario", "iv", "--p", "3",
                                  "--replicates", "1", "--n", "300", "--boot", "10")
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert "n_contaminated" in record["message"] and "p" in record["message"]
         assert out == ""
@@ -487,7 +496,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", f"--beta0={value}",
                                  "--replicates", "2", "--p", "5", "--n", "300", "--boot", "10")
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert "beta0 must be finite" in record["message"]
         assert out == ""
@@ -519,7 +528,7 @@ class TestSimulate:
         cfg_path.write_text(json.dumps({**part, "p": 5, "n": 300, "n_replicates": 2}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path), "--boot", "10")
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert message in record["message"]
         assert out == ""
@@ -569,12 +578,12 @@ class TestSimulate:
         cfg_path.write_text("{not json")
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path))
         assert code == 2
-        assert json.loads(err)["error"] == "DataError"
+        assert _strict_json(err)["error"] == "DataError"
 
     def test_bad_config_value_reports_its_reason(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--p", "0")
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert "p must be positive" in record["message"]
         assert out == ""
@@ -592,7 +601,7 @@ class TestSimulate:
         argv = [f"--{key}", str(value)] if source == "flag" else ["--config", str(cfg_path)]
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 2
-        record = json.loads(err)
+        record = _strict_json(err)
         assert record["error"] == "DataError"
         assert f"{config_key} must be at most" in record["message"]
         assert out == ""
@@ -610,14 +619,14 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "1",
                                  "--p", "5", "--n", "300", flag, value)
         assert code == 2
-        assert json.loads(err)["error"] == "DataError"
+        assert _strict_json(err)["error"] == "DataError"
         assert out == ""
 
     def test_boot_above_the_maximum_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "2",
                                  "--p", "5", "--n", "300", "--boot", "100000000000000000000")
         assert code == 2
-        assert json.loads(err) == {"error": "DataError", "message": "n_boot must be at most 1000000"}
+        assert _strict_json(err) == {"error": "DataError", "message": "n_boot must be at most 1000000"}
         assert out == ""
 
     def test_bad_thread_count_exit_2_in_analyze(self, tmp_path, capsys, monkeypatch):
@@ -626,7 +635,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
                                  "--outcome", ouy, "--methods", "MrWald", "--boot", "20")
         assert code == 2
-        assert json.loads(err) == {
+        assert _strict_json(err) == {
             "error": "DataError", "message": "MR_HETERO_THREADS must be an integer, got 'abc'"}
         assert out == ""
 
@@ -635,7 +644,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "2",
                                  "--p", "5", "--n", "300", "--boot", "10")
         assert code == 2
-        assert json.loads(err) == {
+        assert _strict_json(err) == {
             "error": "DataError", "message": "MR_HETERO_THREADS must be an integer, got 'abc'"}
         assert out == ""
 
@@ -655,7 +664,7 @@ class TestSimulate:
         }[command]
         code, out, err = run_cli(capsys, command, *argv, "--boot", "20")
         assert code == 2
-        assert json.loads(err) == {
+        assert _strict_json(err) == {
             "error": "DataError", "message": "MR_HETERO_THREADS must be at most 256, got '1000000'"}
         assert out == ""
 
@@ -679,14 +688,6 @@ class TestSimulate:
         for metric in ("bias_pct", "rmse_pct", "ci_length_pct", "coverage_pct"):
             for name, cell in zip(header[1:], table[metric]):
                 assert float(cell) == summary[name][metric]
-
-
-def _strict_json(text: str):
-    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
-    def reject(token):
-        raise ValueError(f"{token} is not JSON")
-
-    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.parametrize("command,argv,path,tsv_line", [
@@ -763,7 +764,7 @@ def _record(capsys, *argv) -> dict:
     """The one exit-2 record ``argv`` writes, with nothing on stdout."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    return json.loads(err)
+    return _strict_json(err)
 
 
 class TestUsageChecks:
@@ -813,6 +814,61 @@ class TestUsageChecks:
         assert _record(capsys, *argv) == {
             "error": "DegenerateDesign", "message": "the usable SNPs' inverse variances sum to zero",
             "method": "WeightedMedian"}
+
+
+def _rewrite_column(path, column: int, cells) -> None:
+    """Replace column ``column`` of the summary file at ``path`` with ``cells``, one per row."""
+    header, *rows = (line.split("\t") for line in open(path).read().splitlines())
+    rows = [[*row[:column], cell, *row[column + 1:]] for row, cell in zip(rows, cells)]
+    with open(path, "w") as fh:
+        fh.write("".join("\t".join(row) + "\n" for row in [header, *rows]))
+
+
+class TestOneLineRule:
+    """Every stdout and stderr line is strict JSON with floats at six significant figures."""
+
+    def test_infinite_detail_prints_as_null(self, tmp_path, capsys):
+        # One outcome se of 1e-300 makes Divw's weights, and so its
+        # denominator, infinite.
+        tr, oug, ouy = write_inputs(tmp_path, p=30)
+        _rewrite_column(ouy, 4, ["1e-300"] + ["0.01"] * 29)
+        code, out, err = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+                                 "--outcome", ouy, "--methods", "Divw")
+        assert code == 2 and out == ""
+        *_, record = [_strict_json(line) for line in err.splitlines()]
+        assert record == {
+            "error": "VanishingDenominator",
+            "message": "debiased instrument strength is indistinguishable from zero",
+            "value": None, "method": "Divw"}
+
+    def test_finite_detail_has_six_significant_figures(self, tmp_path, capsys):
+        # Each treatment se exceeds its beta by a relative 1e-14, so the
+        # debiased strength is a small negative number of full precision.
+        tr, oug, ouy = write_inputs(tmp_path, p=30)
+        betas = [float(line.split("\t")[3]) for line in open(tr).read().splitlines()[1:]]
+        _rewrite_column(tr, 4, [repr(b * (1 + 1e-14)) for b in betas])
+        triples, _ = harmonize(*(parse_summary_file(path) for path in (tr, oug, ouy)))
+        with pytest.raises(VanishingDenominator) as info:
+            divw(triples)
+        value = info.value.details["value"]
+        assert float(f"{value:.6g}") != value
+        assert _record(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+                       "--outcome", ouy, "--methods", "Divw") == {
+            "error": "VanishingDenominator",
+            "message": "debiased instrument strength is indistinguishable from zero",
+            "value": float(f"{value:.6g}"), "method": "Divw"}
+
+    def test_json_het_test_formats_no_tsv_cell(self, tmp_path, capsys, monkeypatch):
+        tr, oug, _ = write_inputs(tmp_path)
+        argv = ["het-test", "--treatment", tr, "--outcome-exposure", oug]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+
+        def no_cells(v):
+            raise AssertionError("a TSV cell was formatted")
+
+        monkeypatch.setattr(cli, "_fmt_cell", no_cells)
+        assert run_cli(capsys, *argv) == expected
 
 
 def _rename_headers(path, names: dict) -> str:
@@ -917,4 +973,4 @@ def test_a_path_given_twice_is_read_once(tmp_path, capsys, monkeypatch, lenient)
     else:
         reason = "could not convert string to float: 'bad'"
         record = {"error": "MalformedRow", "message": f"malformed row at line 14: {reason}", "line": 14, "reason": reason}
-    assert [json.loads(line) for line in twice[2].splitlines()] == [record]
+    assert [_strict_json(line) for line in twice[2].splitlines()] == [record]
