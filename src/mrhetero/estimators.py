@@ -206,9 +206,9 @@ def _counted_evaluator(methods, a: TripleArrays):
                                  / _held_max(counts, abs_gamma_tr, tr_descending))
                     slope, den_passed, den_resolved = fits[den]
                     beta = beta / slope
-                    passed = passed & den_passed & ~kernels._vanishes(slope, scale)
-                    # Within a factor 1e9 of the guard the ratio amplifies the
-                    # rounding of its denominator past 1e-13 of the value.
+                    passed = passed & den_passed
+                    # Within a factor 1e9 of the guard the ratio amplifies the rounding of
+                    # its denominator past 1e-13 of the value; _ratio_guard decides there.
                     resolved = resolved & den_resolved & (abs(slope) > 1e-3 * scale)
                 rows.append((beta, passed, resolved))
             values, ok, resolved = (np.array(x) for x in zip(*rows))

@@ -12,6 +12,9 @@ chunk of resamples, columns of one matrix product shared by every fit), and
 the medians take cumulative sums over ratios sorted once per panel, with the
 counts as multiplicities, within a window around the panel's half-mass point.
 Each guard is the same predicate in both forms and is applied per resample.
+A count form decides only the guards it decides exactly, the origin fit's
+all-zero regressor and the medians' resample holding no weight; it leaves a
+row near the ratio or constant-design guard to the point estimator.
 """
 
 from __future__ import annotations
@@ -83,14 +86,6 @@ def _all_regressors_zero(sxx):
     return sxx <= 0.0
 
 
-def _constant_design(sxx, raw):
-    """The intercept fit's guard: centred ``sxx`` against uncentred ``sum(w x^2)``.
-
-    Exactly-constant x leaves only rounding noise after centering.
-    """
-    return sxx <= 1e-28 * raw
-
-
 def wls_intercept(d: WeightedPairs) -> tuple[float, float]:
     """Weighted least-squares fit of ``y = slope * x + intercept``.
 
@@ -104,7 +99,9 @@ def wls_intercept(d: WeightedPairs) -> tuple[float, float]:
     ym = float(np.dot(d.w, d.y)) / sw
     xc = d.x - xm
     sxx = float(np.dot(d.w * xc, xc))
-    if _constant_design(sxx, float(np.dot(d.w * d.x, d.x))):
+    # Centred against uncentred sum(w x^2): exactly-constant x leaves only
+    # rounding noise after centering.
+    if sxx <= 1e-28 * float(np.dot(d.w * d.x, d.x)):
         raise DegenerateDesign("regressor is weighted-constant; slope is not identified")
     slope = float(np.dot(d.w * xc, d.y - ym)) / sxx
     return slope, ym - slope * xm
@@ -195,9 +192,9 @@ class CountedFit(NamedTuple):
     and the ``rows x k`` product of the counts with ``terms``, and returns
     three per-row arrays: the kernel's value, whether the row passes the
     kernel's guards, and whether the count form resolves the row to
-    rounding. A row it does not resolve is one the caller evaluates on the
-    resample itself. The caller takes the product, for the estimators one
-    per chunk over the terms of every fit side by side.
+    rounding; only a resolved row's guards are read. The caller evaluates
+    any other row on the resample itself. It takes the product, for the
+    estimators one per chunk over the terms of every fit side by side.
     """
 
     terms: np.ndarray
@@ -234,7 +231,7 @@ def counted_wls_intercept(d: WeightedPairs) -> CountedFit:
         sw, sx, sy, sxx, sxy, raw = sums.T
         centred = sxx - sx * sx / sw
         slope = (sxy - sx * sy / sw) / centred
-        return slope, ~_constant_design(centred, raw), (centred > 1e-2 * sxx) & (centred > 1e-16 * raw)
+        return slope, np.ones(len(sums), dtype=bool), (centred > 1e-2 * sxx) & (centred > 1e-16 * raw)
 
     return CountedFit(np.column_stack((d.w, wxs, d.w * ys, wxs * xs, wxs * ys, d.w * d.x * d.x)), reduce)
 

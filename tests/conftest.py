@@ -5,6 +5,8 @@ section instead of the closed-form weighted slope, dense grid scans instead
 of the weighted-median reduction, and adaptive quadrature of the density
 instead of the incomplete-gamma recursions. :func:`oracle_mr_wald_variance`
 needs the simulation's truth, which summary data do not carry.
+:func:`influence_se` checks the bootstrap against a closed form that shares
+neither its resample draws nor its summaries.
 """
 
 from __future__ import annotations
@@ -125,3 +127,56 @@ def oracle_mr_wald_variance(gamma_tr, gamma_ou, se_gamma_tr, se_gamma_ou, sigma_
     if den == 0.0 or abs(den) < REL_DENOM_TOL * den_scale:
         raise VanishingDenominator("oracle variance denominator is zero", value=den)
     return num / den**2
+
+
+def _slope_influence(x, y, w, intercept: bool):
+    """A weighted slope of ``y`` on ``x`` as a function of means of per-SNP terms.
+
+    Returns the slope, each SNP's first-order influence on it (the gradient
+    dotted with the SNP's centred terms) and the same for the slope's
+    denominator, the weighted sum of squares, centred for an intercept fit.
+    """
+    if intercept:
+        t = np.column_stack((w, w * x, w * y, w * x * x, w * x * y))
+        a, b, c, e, f = t.mean(axis=0)
+        den = e - b * b / a
+        slope = (f - b * c / a) / den
+        grad = np.array([(b * c - slope * b * b) / a**2, (2.0 * slope * b - c) / a, -b / a, -slope, 1.0]) / den
+        den_grad = np.array([(b / a) ** 2, -2.0 * b / a, 0.0, 1.0, 0.0])
+    else:
+        t = np.column_stack((w * x * x, w * x * y))
+        den, sxy = t.mean(axis=0)
+        slope = sxy / den
+        grad = np.array([-slope, 1.0]) / den
+        den_grad = np.array([1.0, 0.0])
+    centred = t - t.mean(axis=0)
+    return slope, centred @ grad, den, centred @ den_grad
+
+
+def _z(value, influence) -> float:
+    """``|value|`` over its infinitesimal-jackknife standard error."""
+    return abs(value) / (math.sqrt(float(np.dot(influence, influence))) / len(influence))
+
+
+def influence_se(method, a) -> tuple[float, float]:
+    """Infinitesimal-jackknife SE of a smooth method's bootstrap over SNPs.
+
+    MrWald, MrWaldD, Ivw and Egger are smooth functions ``f`` of the means
+    of per-SNP terms ``t_j``. To first order the bootstrap over SNPs has
+    variance ``sum_j (grad f . (t_j - mean t))^2 / p^2`` (Jaeckel 1972;
+    Efron 1982), here with an analytic gradient. Returns that SE and the
+    smallest influence z-score of the method's denominators: each fit's
+    sum of squares and, for a ratio method, its exposure slope.
+    """
+    intercept = method in ("MrWaldD", "Egger")
+    beta, influence, den, den_influence = _slope_influence(
+        a.gamma_tr, a.capgamma_ou, a.se_capgamma_ou**-2, intercept)
+    z = _z(den, den_influence)
+    if method in ("MrWald", "MrWaldD"):
+        slope, slope_influence, den, den_influence = _slope_influence(
+            a.gamma_tr, a.gamma_ou, a.se_gamma_ou**-2, intercept)
+        beta, influence = beta / slope, (influence - beta / slope * slope_influence) / slope
+        z = min(z, _z(den, den_influence), _z(slope, slope_influence))
+    elif method not in ("Ivw", "Egger"):
+        raise ValueError(f"{method} is not a smooth function of means")
+    return math.sqrt(float(np.dot(influence, influence))) / len(a), z

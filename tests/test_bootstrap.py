@@ -10,15 +10,20 @@ from mrhetero import (
     BootstrapConfig,
     CiKind,
     DegenerateInput,
+    GFunction,
+    Method,
+    Pleiotropy,
     ScenarioConfig,
     TooManyFailures,
     VanishingDenominator,
     bootstrap,
+    estimate_many,
+    simulate_replicate,
 )
 from mrhetero.bootstrap import MAX_N_BOOT, _evaluate_copy, _json_float, bootstrap_chunks, stream_seed, z_quantile
-from mrhetero.summary_data import as_triple_arrays
+from mrhetero.summary_data import TripleArrays, as_triple_arrays
 
-from conftest import random_triples
+from conftest import influence_se, random_triples
 
 
 def replay_resample_indices(seed, b, p):
@@ -252,6 +257,50 @@ class TestBootstrapChunks:
             with pytest.raises(RuntimeError) as raised:
                 bootstrap_chunks(copy_evaluator([strict], arrays), len(arrays), cfg, [0.0], workers)
             assert raised.value.args == (bad[45],)
+
+
+class TestInfluenceOracle:
+    """The counted bootstrap's SE against the infinitesimal jackknife (``influence_se``).
+
+    The bound is fixed before any run. From B replicates of a nearly normal
+    value, the sample SE has a relative SD of 1/sqrt(2B); four of them make
+    a false alarm among four methods rarer than 3e-4. The bootstrap's own SE
+    differs from the first-order one by second-order Taylor terms, O(1/p):
+    for a denominator whose influence z-score is z, 1/(1 + d) with
+    d ~ N(0, 1/z^2) has variance 1/z^2 (1 + 8/z^2), so an SE about 4/z^2
+    above its linear part. A method has at most three denominators (two
+    sums of squares and the exposure slope), and each z^2 grows as p, so
+    12/z^2 of the weakest is allowed. Drawing p // 2 indices per resample
+    would read about sqrt(2).
+    """
+
+    SMOOTH = [Method.MR_WALD, Method.MR_WALD_D, Method.IVW, Method.EGGER]
+
+    def assert_matches_influence_se(self, a, n_boot):
+        boot = BootstrapConfig(n_boot=n_boot, seed=5)
+        for m, e in zip(self.SMOOTH, estimate_many(self.SMOOTH, a, boot)):
+            se, z = influence_se(m, a)
+            assert z >= 10.0, m  # every denominator strong: the allowance is at most 0.12
+            assert abs(e.se / se - 1.0) <= 4.0 / math.sqrt(2 * n_boot) + 12.0 / z**2, m
+
+    def test_bench_style_panel(self):
+        # The benchmark's panel at p=10k: treatment betas in [0.05, 0.1]
+        # under the shift map, ses in [0.009, 0.014].
+        p = 10_000
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0.05, 0.10, p)
+        ses = rng.uniform(0.009, 0.014, (p, 3))
+        b = np.column_stack([x, (x + 0.1) / 2.0, 0.15 * (x + 0.1)]) + ses * rng.standard_normal((p, 3))
+        a = TripleArrays.checked([f"rs{j}" for j in range(p)], b[:, 0], ses[:, 0], b[:, 1], ses[:, 1],
+                                 b[:, 2], ses[:, 2])
+        self.assert_matches_influence_se(a, 1000)
+
+    def test_criterion_4_replicate(self):
+        # Criterion 4's config at n=100k. At n=10k MrWaldD's denominator is
+        # weak and its bootstrap is heavy-tailed, so that config is left out.
+        cfg = ScenarioConfig(p=200, n=100_000, n_replicates=1, seed=104, g=GFunction.identity(),
+                             pleiotropy=Pleiotropy.directional(0.05, 0.02))
+        self.assert_matches_influence_se(simulate_replicate(cfg, 0), 2000)
 
 
 class TestStreamSeed:

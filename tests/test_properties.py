@@ -153,6 +153,24 @@ def near_constant_design(rng, a: TripleArrays, u: float) -> TripleArrays:
                       a.se_capgamma_ou)
 
 
+def near_ratio_guard_per_resample() -> TripleArrays:
+    """A 40-SNP panel whose resamples fall on both sides of MrWald's ratio guard.
+
+    Half the SNPs have gamma_tr = 0 and |gamma_ou| = 1, which sets nearly
+    every resample's max|gamma_ou|. The rest have gamma_ou = d gamma_tr, so
+    each resample's exposure slope is d, 1.05 times the panel's threshold.
+    One SNP has |gamma_tr| = 1 and the others at most 0.8, so a resample
+    missing it (about e^-1 of them) has a threshold 1.25 times higher and
+    fails the guard.
+    """
+    rng, p, h = np.random.default_rng(21), 40, 20
+    gamma_tr = np.r_[np.zeros(h), 1.0, rng.uniform(0.2, 0.8, p - h - 1)] * rng.choice([-1.0, 1.0], p)
+    gamma_ou = np.r_[rng.choice([-1.0, 1.0], h), 1.05 * REL_DENOM_TOL * gamma_tr[h:]]
+    capgamma_ou = 0.5 * gamma_tr + 0.1 * rng.standard_normal(p)
+    return triples_of(gamma_tr, rng.uniform(0.05, 0.2, p), gamma_ou, rng.uniform(0.05, 0.2, p),
+                      capgamma_ou, rng.uniform(0.05, 0.2, p))
+
+
 @settings(max_examples=15, deadline=None)
 @given(panel=panels, k=exponents, u=below | above)
 def test_rescaling_keeps_the_ratio_guard_decision(panel, k, u):
@@ -259,17 +277,29 @@ def test_counted_bootstrap_keeps_the_constant_design_guard_per_replicate():
     assert 0 < failed[0] < 100
 
 
+@pytest.mark.filterwarnings("ignore:dropped .* SNPs with zero exposure association")
+def test_counted_bootstrap_keeps_the_ratio_guard_per_replicate():
+    # Every MrWald and MrWaldR row is near the guard, on either side of it.
+    (normal, _) = assert_counts_match_resamples(near_ratio_guard_per_resample(), seed=3, n_boot=200)
+    failed = [e.auxiliary["bootstrap_failed"] for e in normal if e.method is Method.MR_WALD]
+    assert 0 < failed[0] < 100
+
+
 def test_unresolved_rows_call_the_point_estimator(monkeypatch):
-    # Every Egger row is this near the guard; each is computed by the point
-    # estimator on ``estimators``, where the traced benchmark wraps it.
+    # Every Egger row of the first panel is this near the constant-design
+    # guard, and every MrWald row of the second this near the ratio guard;
+    # each is computed by the point estimator on ``estimators``, where the
+    # traced benchmark wraps it.
     rng, a = draw_panel(11, 40)
-    near = near_constant_design(rng, a, 1.1)
+    cases = [(Method.EGGER, near_constant_design(rng, a, 1.1)), (Method.MR_WALD, near_ratio_guard_per_resample())]
     boot = BootstrapConfig(n_boot=100, seed=3)
-    expected = estimate_many([Method.EGGER], near, boot)
+    expected = [estimate_many([m], near, boot) for m, near in cases]
     calls = []
     monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
-    assert estimate_many([Method.EGGER], near, boot) == expected
-    assert calls == [Method.EGGER] * 100
+    for (m, near), e in zip(cases, expected):
+        calls.clear()
+        assert estimate_many([m], near, boot) == e
+        assert calls == [m] * 100
 
 
 def test_counted_bootstrap_keeps_the_flat_l1_midpoint():
