@@ -84,17 +84,13 @@ def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: st
 def _held_max(counts: np.ndarray, values: np.ndarray, descending: np.ndarray) -> np.ndarray:
     """Per row of ``counts``, the max of ``values`` over the SNPs the resample holds.
 
-    ``descending`` orders ``values`` from the largest. A resample of p draws
-    misses all of the first 64 with probability below e^-64, so only those
-    are read unless it does.
+    ``descending`` orders ``values`` from the largest, and only the first 64
+    are read. A resample of p draws misses all of them with probability
+    below e^-64; such a row gets NaN, which leaves its ratio to the point
+    estimator.
     """
-    head = descending[:64]
-    held = np.take(counts, head, axis=1) > 0.0
-    first = held.argmax(axis=1)
-    out = values[head[first]]
-    for r in np.flatnonzero(~held[np.arange(len(counts)), first]):
-        out[r] = values[counts[r] > 0.0].max()
-    return out
+    held = np.take(counts, descending[:64], axis=1) > 0.0
+    return np.where(held.any(axis=1), values[descending[held.argmax(axis=1)]], np.nan)
 
 
 def _outcome_fit(a: TripleArrays) -> WeightedPairs:
@@ -164,8 +160,11 @@ def _counted_evaluator(methods, a: TripleArrays):
     with the per-panel terms of each fit computed once here. Each row passes
     the same guards, and so fails in the same replicates, as the method's
     point estimator on that resample; the values agree with it to rounding.
-    The few rows whose count form is ill-conditioned (a ratio or a design
-    near its guard) are computed by the point estimator on the resample.
+    The few rows that the count form does not resolve are computed by the
+    point estimator on the resample: a ratio or a design near its guard, a
+    median whose crossing or neighbours fall outside its window, and a
+    ratio whose resample holds none of the 64 largest ``|gamma_ou|`` or
+    ``|gamma_tr|``.
 
     Every fit of ``_FITS`` that builds on the panel has its terms in one
     ``p x K`` matrix, in table order, and a chunk takes one product with it;

@@ -13,8 +13,9 @@ the medians take cumulative sums over ratios sorted once per panel, with the
 counts as multiplicities, within a window around the panel's half-mass point.
 Each guard is the same predicate in both forms and is applied per resample.
 A count form decides only the guards it decides exactly, the origin fit's
-all-zero regressor and the medians' resample holding no weight; it leaves a
-row near the ratio or constant-design guard to the point estimator.
+all-zero regressor and the medians' resample holding no weight. It leaves
+to the point estimator a row near the ratio or constant-design guard and a
+median row whose crossing or neighbours fall outside the window.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ class CountedFit(NamedTuple):
     three per-row arrays: the kernel's value, whether the row passes the
     kernel's guards, and whether the count form resolves the row to
     rounding; only a resolved row's guards are read. The caller evaluates
-    any other row on the resample itself. It takes the product, for the
-    estimators one per chunk over the terms of every fit side by side.
+    any other row, such as a median row that its window does not resolve,
+    on the resample itself. It takes the product, for the estimators one
+    per chunk over the terms of every fit side by side.
     """
 
     terms: np.ndarray
@@ -253,9 +255,8 @@ def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, me
     window of sorted positions around the panel's half-mass point (see
     :func:`_half_mass_window`); two product columns give its mass before
     and after the window. A row whose crossing or neighbours fall outside
-    is read again over the whole panel, where the masses before and after
-    are zero and the cumulative sums are the serial ones. A resample holding
-    no used SNP fails.
+    the window is left unresolved, for the point estimator. A resample
+    holding no used SNP fails.
     """
     order = np.argsort(values, kind="stable")
     snps = np.flatnonzero(used)[order]
@@ -263,29 +264,19 @@ def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, me
     # column c of the window's cumulative masses, whose column 0 is the mass
     # before the window. The pad itself is never read.
     v, m = np.r_[0.0, values[order]], np.r_[0.0, masses[order]]
-    p = len(snps)
     lo, hi = _half_mass_window(m[1:])
     outside = np.zeros((len(used), 2))
     outside[snps[:lo], 0] = m[1:lo + 1]
     outside[snps[hi:], 1] = m[hi + 1:]
 
-    def window(counts, lo, hi, before, after):
-        cum = np.empty((len(counts), hi - lo + 1))
-        cum[:, 0] = before
-        np.multiply(np.take(counts, snps[lo:hi], axis=1), m[lo + 1:hi + 1], out=cum[:, 1:])
-        np.cumsum(cum, axis=1, out=cum)
-        return medians(v[lo:hi + 1], m[lo:hi + 1], cum, cum[:, -1] + after)
-
     def reduce(counts, sums):
         ok = sums[:, 0] > 0.0
-        beta = np.zeros(len(counts))
-        if p:
-            beta, resolved = window(counts, lo, hi, sums[:, 1], sums[:, 2])
-            wide = np.flatnonzero(ok & ~resolved)
-            if len(wide):
-                zero = np.zeros(len(wide))
-                beta[wide] = window(counts[wide], 0, p, zero, zero)[0]
-        return np.where(ok, beta, 0.0), ok, np.ones(len(counts), dtype=bool)
+        cum = np.empty((len(counts), hi - lo + 1))
+        cum[:, 0] = sums[:, 1]
+        np.multiply(np.take(counts, snps[lo:hi], axis=1), m[lo + 1:hi + 1], out=cum[:, 1:])
+        np.cumsum(cum, axis=1, out=cum)
+        beta, resolved = medians(v[lo:hi + 1], m[lo:hi + 1], cum, cum[:, -1] + sums[:, 2])
+        return np.where(ok, beta, 0.0), ok, resolved | ~ok
 
     return CountedFit(np.column_stack((used.astype(float), outside)), reduce)
 

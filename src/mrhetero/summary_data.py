@@ -533,7 +533,7 @@ def marginal_regressions(Z, y) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise :func:`marginal_regression` for an ``n x p`` design matrix."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    beta, se = blocked_regressions([(Z, (y - y.mean())[:, None])])
+    beta, se = blocked_regressions([(Z - Z.mean(axis=0), (y - y.mean())[:, None])])
     return beta[:, 0], se[:, 0]
 
 

@@ -20,7 +20,9 @@ from mrhetero import (
     estimate_many,
     simulate_replicate,
 )
+from mrhetero import estimators
 from mrhetero.bootstrap import MAX_N_BOOT, _evaluate_copy, _json_float, bootstrap_chunks, stream_seed, z_quantile
+from mrhetero.estimators import point_estimator
 from mrhetero.summary_data import TripleArrays, as_triple_arrays
 
 from conftest import influence_se, random_triples
@@ -283,7 +285,8 @@ class TestInfluenceOracle:
             assert z >= 10.0, m  # every denominator strong: the allowance is at most 0.12
             assert abs(e.se / se - 1.0) <= 4.0 / math.sqrt(2 * n_boot) + 12.0 / z**2, m
 
-    def test_bench_style_panel(self):
+    @staticmethod
+    def bench_style_panel():
         # The benchmark's panel at p=10k: treatment betas in [0.05, 0.1]
         # under the shift map, ses in [0.009, 0.014].
         p = 10_000
@@ -291,9 +294,21 @@ class TestInfluenceOracle:
         x = rng.uniform(0.05, 0.10, p)
         ses = rng.uniform(0.009, 0.014, (p, 3))
         b = np.column_stack([x, (x + 0.1) / 2.0, 0.15 * (x + 0.1)]) + ses * rng.standard_normal((p, 3))
-        a = TripleArrays.checked([f"rs{j}" for j in range(p)], b[:, 0], ses[:, 0], b[:, 1], ses[:, 1],
-                                 b[:, 2], ses[:, 2])
-        self.assert_matches_influence_se(a, 1000)
+        return TripleArrays.checked([f"rs{j}" for j in range(p)], b[:, 0], ses[:, 0], b[:, 1], ses[:, 1],
+                                    b[:, 2], ses[:, 2])
+
+    def test_bench_style_panel(self):
+        self.assert_matches_influence_se(self.bench_style_panel(), 1000)
+
+    def test_bench_style_panel_calls_no_point_estimator(self, monkeypatch):
+        # Every resample of every method resolves from its counts, so a
+        # narrower median window or a stricter deferral fails here rather
+        # than only slowing the bootstrap.
+        calls = []
+        monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
+        out = estimate_many(list(Method), self.bench_style_panel(), BootstrapConfig(n_boot=1000, seed=5))
+        assert all(e.se > 0.0 for e in out)
+        assert calls == []
 
     def test_criterion_4_replicate(self):
         # Criterion 4's config at n=100k. At n=10k MrWaldD's denominator is

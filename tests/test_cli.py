@@ -827,6 +827,9 @@ def _rewrite_column(path, column: int, cells) -> None:
 class TestOneLineRule:
     """Every stdout and stderr line is strict JSON with floats at six significant figures."""
 
+    # The 1e-300 se overflows in Divw's weights: CHANGES FOUND 43, left for
+    # ROADMAP item 2's rescaling.
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_infinite_detail_prints_as_null(self, tmp_path, capsys):
         # One outcome se of 1e-300 makes Divw's weights, and so its
         # denominator, infinite.

@@ -19,7 +19,8 @@ from mrhetero import (
     wls_intercept,
     wls_origin,
 )
-from mrhetero import kernels
+from mrhetero import Method, estimators, kernels
+from mrhetero.estimators import point_estimator
 from mrhetero.summary_data import TripleArrays
 
 from conftest import golden_section_min, grid_min_l1, make_triples, wls_intercept_normal_equations
@@ -248,19 +249,28 @@ class TestCountedMedians:
     """The counted L1 and weighted-median fits on hand-made count rows.
 
     On a 2,000-SNP panel the fits read a window of sorted positions around
-    the half-mass point. Each row must equal the point kernel on the
-    resample it stands for, with the same failures, whether its crossing,
-    flat-minimum partner or interpolation neighbour lies inside the window
-    or not.
+    the half-mass point. Each resolved row must equal the point kernel on
+    the resample it stands for, with the same failures. A row whose
+    crossing, flat-minimum partner or interpolation neighbour lies outside
+    the window is unresolved, and the evaluator computes it with the point
+    estimator.
     """
 
     P = 2000
+    # The rows of ``rows`` that each fit leaves unresolved, in row order.
+    OUTSIDE = ("lowest ratios only", "highest ratios only", "one huge count",
+               "flat at the upper edge", "flat at the lower edge")
+    UNRESOLVED = {"l1": OUTSIDE,
+                  "weighted median": OUTSIDE + ("neighbour below the window", "neighbour above the window")}
 
     @pytest.fixture(scope="class")
     def panel(self):
         # Ratios in random order; every mass is exactly 1 (w = 1 / se^2 with
         # se = 1, x = gamma_tr = 1, and gamma_tr's own SE too small to
         # register), except one SNP of mass 4 (se = 1/2) in the middle.
+        # MrWaldR's numerator fit is ``d`` with every weight divided by 4
+        # (min(se_gamma_ou) / se_gamma_ou, with the heavy SNP's at 1/4), and
+        # its denominator slope is 1 (every gamma_ou / gamma_tr is 1).
         rng = np.random.default_rng(17)
         ratio = rng.permutation(np.linspace(-3.0, 3.0, self.P))
         se = np.ones(self.P)
@@ -269,9 +279,10 @@ class TestCountedMedians:
         se[heavy] = 0.5
         ones = np.ones(self.P)
         a = TripleArrays.checked([f"rs{j}" for j in range(self.P)], ones, ones * 2.0**-30,
-                                 ones, ones, ratio, se)
+                                 ones, se**2, ratio, se)
         d = WeightedPairs(ones, ratio, se**-2)
         assert np.all(kernels._median_terms(a)[2] == se**-2)
+        assert np.all(estimators._l1_outcome_fit(a).w * 4.0 == d.w)
         masses = (se**-2)[order]
         assert np.all(masses == np.where(order == heavy, 4.0, 1.0))
         lo, hi = kernels._half_mass_window(masses)
@@ -329,8 +340,10 @@ class TestCountedMedians:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, passed, resolved = reduced(counted, counts)
-        assert resolved.all()
-        for name, row, value, ok in zip(rows, counts, values, passed):
+        assert [name for name, r in zip(rows, resolved) if not r] == list(self.UNRESOLVED[fit])
+        for name, row, value, ok, r in zip(rows, counts, values, passed, resolved):
+            if not r:
+                continue
             sample = a.take(np.repeat(np.arange(self.P), row.astype(int)))
             if not len(sample):
                 assert not ok, name
@@ -338,14 +351,34 @@ class TestCountedMedians:
             assert ok, name
             assert value == pytest.approx(point(sample), rel=1e-12, abs=0.0), name
 
-    def test_flat_l1_minimum_takes_the_midpoint_beyond_the_window(self, panel):
-        _, d, order, lo, hi = panel
-        ratios = np.sort(d.y)
+    def test_unresolved_rows_take_the_point_estimator(self, panel, monkeypatch):
+        # Each unresolved row, and a MrWald resample holding none of the 64
+        # largest |gamma_tr|, is the point estimator on its resample, called
+        # on ``estimators``, where the traced benchmark wraps it.
+        a, d, order, lo, hi = panel
         rows = self.rows(panel)
-        counts = np.zeros((2, self.P))
-        counts[:, order] = [rows["flat at the upper edge"], rows["flat at the lower edge"]]
-        values, _, _ = reduced(kernels.counted_l1_origin(d), counts)
-        assert list(values) == [0.5 * (ratios[hi - 1] + ratios[-1]), 0.5 * (ratios[0] + ratios[lo])]
+        counts = np.zeros((len(rows), self.P), dtype=int)
+        counts[:, order] = np.array(list(rows.values()))
+        indices = dict(zip(rows, (np.repeat(np.arange(self.P), row) for row in counts)))
+        x = np.arange(1.0, 101.0)
+        small = TripleArrays.checked([f"rs{j}" for j in range(100)], x, 0.01 * x, np.sqrt(x), 0.02 * x,
+                                     np.cos(x), 0.03 * x)
+        cases = [(Method.MR_WALD_R, a, [indices[name] for name in self.UNRESOLVED["l1"]]),
+                 (Method.WEIGHTED_MEDIAN, a, [indices[name] for name in self.UNRESOLVED["weighted median"]]),
+                 (Method.MR_WALD, small, [np.arange(36), np.repeat(np.arange(12), 3)])]
+        calls = []
+        monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
+        for m, triples, resamples in cases:
+            calls.clear()
+            values, ok = estimators._counted_evaluator([m], triples)(resamples)
+            assert calls == [m] * len(resamples)
+            assert ok.all()
+            assert list(values[0]) == [point_estimator(m)(triples.take(r)) for r in resamples]
+        # MrWaldR's flat minima take their midpoints beyond the window.
+        ratios = np.sort(d.y)
+        values, _ = estimators._counted_evaluator([Method.MR_WALD_R], a)(
+            [indices["flat at the upper edge"], indices["flat at the lower edge"]])
+        assert list(values[0]) == [0.5 * (ratios[hi - 1] + ratios[-1]), 0.5 * (ratios[0] + ratios[lo])]
 
     def test_large_panels_read_a_window(self, panel):
         _, _, _, lo, hi = panel

@@ -341,6 +341,18 @@ class TestMarginalRegression:
         betas, _ = marginal_regressions(np.column_stack([z, z[::-1]]), y)
         assert np.isfinite(betas).all()
 
+    def test_offset_design_is_centred(self, rng):
+        # The sums are taken about each column's mean, so an offset far
+        # above the spread neither makes a column look constant nor costs
+        # the slope its digits.
+        y = [1.0, 3.0, 5.0, 3.2]
+        assert marginal_regression([1e8, 1e8 + 1, 1e8 + 2, 1e8 + 1], y) == marginal_regression([0, 1, 2, 1], y)
+        assert marginal_regression([0, 1, 2, 1], y)[0] == 2.0
+        Z = rng.integers(0, 3, size=(100_000, 3)).astype(float)
+        y = Z @ np.array([0.1, 0.2, 0.3]) + rng.standard_normal(100_000)
+        for got, ref in zip(marginal_regressions(Z + 1e4, y), marginal_regressions(Z, y)):
+            assert_allclose(got, ref, rtol=1e-11, atol=0)
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.floats(-100, 100),
