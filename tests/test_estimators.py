@@ -21,7 +21,10 @@ from mrhetero import (
     mr_wald_r,
     weighted_median_ratio,
 )
+from mrhetero import estimators
+from mrhetero.estimators import _held_max, point_estimator
 from mrhetero.kernels import l1_origin, WeightedPairs
+from mrhetero.summary_data import TripleArrays
 
 from conftest import (
     make_triples,
@@ -239,6 +242,25 @@ class TestEstimateMany:
         out = estimate_many(methods, t, BootstrapConfig(n_boot=50, seed=2))
         assert len(methods) == 6 and all(isinstance(e, MrEstimate) for e in out)
         assert len(calls) == 50
+
+    def test_held_max_reads_past_the_largest_64(self, monkeypatch):
+        # A row holding none of the 64 largest values gets NaN, and the
+        # evaluator computes its MrWald ratio with the point estimator.
+        values = np.arange(100.0)
+        counts = np.ones((2, 100))
+        counts[1, 36:] = 0.0  # holds none of the 64 largest values
+        held = _held_max(counts, values, np.argsort(-values))
+        assert held[0] == 99.0 and np.isnan(held[1])
+        x = np.arange(1.0, 101.0)
+        small = TripleArrays.checked([f"rs{j}" for j in range(100)], x, 0.01 * x, np.sqrt(x), 0.02 * x,
+                                     np.cos(x), 0.03 * x)
+        resamples = [np.arange(36), np.repeat(np.arange(12), 3)]
+        calls = []
+        monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
+        out, ok = estimators._counted_evaluator([Method.MR_WALD], small)(resamples)
+        assert calls == [Method.MR_WALD] * 2
+        assert ok.all()
+        assert list(out[0]) == [point_estimator(Method.MR_WALD)(small.take(r)) for r in resamples]
 
     def test_errors_returned_in_method_order(self, rng):
         boot = BootstrapConfig(n_boot=30, seed=1)

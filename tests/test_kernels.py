@@ -351,33 +351,42 @@ class TestCountedMedians:
             assert ok, name
             assert value == pytest.approx(point(sample), rel=1e-12, abs=0.0), name
 
-    def test_unresolved_rows_take_the_point_estimator(self, panel, monkeypatch):
-        # Each unresolved row, and a MrWald resample holding none of the 64
-        # largest |gamma_tr|, is the point estimator on its resample, called
-        # on ``estimators``, where the traced benchmark wraps it.
-        a, d, order, lo, hi = panel
+    def indices(self, panel):
+        """The resample indices of each row of ``rows``, by name."""
+        order = panel[2]
         rows = self.rows(panel)
         counts = np.zeros((len(rows), self.P), dtype=int)
         counts[:, order] = np.array(list(rows.values()))
-        indices = dict(zip(rows, (np.repeat(np.arange(self.P), row) for row in counts)))
-        x = np.arange(1.0, 101.0)
-        small = TripleArrays.checked([f"rs{j}" for j in range(100)], x, 0.01 * x, np.sqrt(x), 0.02 * x,
-                                     np.cos(x), 0.03 * x)
-        cases = [(Method.MR_WALD_R, a, [indices[name] for name in self.UNRESOLVED["l1"]]),
-                 (Method.WEIGHTED_MEDIAN, a, [indices[name] for name in self.UNRESOLVED["weighted median"]]),
-                 (Method.MR_WALD, small, [np.arange(36), np.repeat(np.arange(12), 3)])]
+        return dict(zip(rows, (np.repeat(np.arange(self.P), row) for row in counts)))
+
+    def test_unresolved_rows_take_the_point_estimator(self, panel, monkeypatch):
+        # Each unresolved row is the point estimator on its resample, called
+        # on ``estimators``, where the traced benchmark wraps it.
+        a = panel[0]
+        indices = self.indices(panel)
         calls = []
         monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
-        for m, triples, resamples in cases:
+        for m, fit in ((Method.MR_WALD_R, "l1"), (Method.WEIGHTED_MEDIAN, "weighted median")):
+            resamples = [indices[name] for name in self.UNRESOLVED[fit]]
             calls.clear()
-            values, ok = estimators._counted_evaluator([m], triples)(resamples)
+            values, ok = estimators._counted_evaluator([m], a)(resamples)
             assert calls == [m] * len(resamples)
             assert ok.all()
-            assert list(values[0]) == [point_estimator(m)(triples.take(r)) for r in resamples]
-        # MrWaldR's flat minima take their midpoints beyond the window.
+            assert list(values[0]) == [point_estimator(m)(a.take(r)) for r in resamples]
+
+    def test_flat_l1_minimum_takes_the_midpoint_beyond_the_window(self, panel):
+        # The counted L1 fit leaves these rows unresolved; the evaluator's
+        # MrWaldR values are the midpoints of flat minima past the window.
+        a, d, order, lo, hi = panel
+        rows = self.rows(panel)
+        names = ["flat at the upper edge", "flat at the lower edge"]
+        counts = np.zeros((2, self.P))
+        counts[:, order] = [rows[name] for name in names]
+        assert not reduced(kernels.counted_l1_origin(d), counts)[2].any()
         ratios = np.sort(d.y)
-        values, _ = estimators._counted_evaluator([Method.MR_WALD_R], a)(
-            [indices["flat at the upper edge"], indices["flat at the lower edge"]])
+        indices = self.indices(panel)
+        values, ok = estimators._counted_evaluator([Method.MR_WALD_R], a)([indices[name] for name in names])
+        assert ok.all()
         assert list(values[0]) == [0.5 * (ratios[hi - 1] + ratios[-1]), 0.5 * (ratios[0] + ratios[lo])]
 
     def test_large_panels_read_a_window(self, panel):
