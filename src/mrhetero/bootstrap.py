@@ -224,7 +224,10 @@ def bootstrap_chunks(
 
 
 def resample_counts(rows: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Copies of each of ``p`` SNPs in each of the resample index ``rows``, as floats."""
+    """Copies of each of ``p`` SNPs in each of the resample index ``rows``, as floats.
+
+    A chunk's rows, one per replicate stream, are counted one by one.
+    """
     counts = np.empty((len(rows), p))
     for r, row in enumerate(rows):
         counts[r] = np.bincount(row, minlength=p)

@@ -164,13 +164,23 @@ def _counted_evaluator(methods, a: TripleArrays):
     point estimator on the resample: a ratio or a design near its guard, a
     median whose crossing or neighbours fall outside its window, and a
     ratio whose resample holds none of the 64 largest ``|gamma_ou|`` or
-    ``|gamma_tr|``.
+    ``|gamma_tr|``. Every row the count form resolves lies clear of both
+    guards. On the bench-style 10,000-SNP panel no row goes to the point
+    estimator, and a test pins that.
 
     Every fit of ``_FITS`` that builds on the panel has its terms in one
     ``p x K`` matrix, in table order, and a chunk takes one product with it;
-    only the fits ``methods`` use are reduced. A product column's rounding
-    depends on the other columns, so the layout is fixed by the panel, and
-    each method's values equal those of its one-method call.
+    only the fits ``methods`` use are reduced. K is 25 when all seven fits
+    build. A fit that does not build, such as the inverse-variance outcome
+    fit when every ``se_capgamma_ou**-2`` underflows to 0, is left out: a
+    method using it has already failed its point estimate, and the others
+    run as before. A product column's rounding depends on the other
+    columns, so the layout is fixed by the panel, not by ``methods``, and
+    each method's values equal those of its one-method call. So a call with
+    few methods also builds, once per panel, the fits it does not reduce:
+    with MrWald alone at 200 SNPs that is 2-4% of its bootstrap, while the
+    default MrWald and MrWaldR at 10,000 SNPs run faster than with one
+    product per fit (``BENCH_analyze_large_p.json``).
     """
     built = {}
     # Only the point estimates warn: a fit that no method uses must not.

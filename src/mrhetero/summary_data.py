@@ -289,6 +289,7 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     if '"' not in text and {line.count("\t") for line in body} == {width - 1}:
         # A regular file: every line holds the header's cell count, so one
         # split holds the cells row by row and column k is every width-th.
+        # It gives the same rows, errors and drop counts as the line reader.
         flat = "\t".join(body).split("\t")
         cols, bad = [flat[k::width] for k in range(width)], np.zeros(len(body), dtype=bool)
     else:
@@ -533,6 +534,8 @@ def marginal_regressions(Z, y) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise :func:`marginal_regression` for an ``n x p`` design matrix."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(Z) < 3:  # before the means, which warn on no rows
+        raise ValueError("at least 3 observations required")
     beta, se = blocked_regressions([(Z - Z.mean(axis=0), (y - y.mean())[:, None])])
     return beta[:, 0], se[:, 0]
 

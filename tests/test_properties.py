@@ -341,8 +341,14 @@ def test_counted_bootstrap_fails_weighted_median_resamples_of_zero_weight():
         assert (e.ci_low, e.ci_high) == pytest.approx((ref.ci_low, ref.ci_high), rel=1e-12, abs=1e-12 * ref.se)
 
 
-@pytest.mark.filterwarnings("ignore:dropped 1 SNPs")
+@pytest.mark.filterwarnings(r"ignore:dropped \d+ SNPs with zero exposure association")
 def test_counted_bootstrap_with_a_zero_exposure_association():
     _, a = draw_panel(8, 30)
     a.gamma_tr[7] = 0.0
     assert_counts_match_resamples(a, seed=8, n_boot=100)
+    # WeightedMedian warns once, for the full sample; its counted resamples
+    # do not warn, though many of them hold the zero-gamma_tr SNP.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_many([Method.WEIGHTED_MEDIAN, Method.MR_WALD], a, BootstrapConfig(n_boot=100, seed=8))
+    assert [str(w.message) for w in caught] == ["dropped 1 SNPs with zero exposure association"]

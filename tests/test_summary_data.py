@@ -314,6 +314,14 @@ class TestMarginalRegression:
         with pytest.raises(DegenerateGenotype):
             marginal_regression([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
+    def test_no_observations_raise_before_any_mean(self):
+        # A mean of nothing would warn "Mean of empty slice" first, which
+        # this suite's filters turn into the error raised.
+        with pytest.raises(ValueError, match="^at least 3 observations required$"):
+            marginal_regression([], [])
+        with pytest.raises(ValueError, match="^at least 3 observations required$"):
+            marginal_regressions(np.empty((0, 2)), np.empty(0))
+
     @pytest.mark.parametrize("n", [7, 100_000])
     def test_constant_column_with_rounding_residue(self, n):
         # 0.1 is inexact, so the centred sum of squares is rounding noise
