@@ -298,8 +298,15 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--output-format", choices=("json", "tsv"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which :func:`main` writes as one JSON record; subparsers inherit the class."""
+
+    def error(self, message):
+        raise DataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrhetero",
         description="Two-sample Mendelian randomization robust to population heterogeneity.",
     )
@@ -344,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # The filters still decide which warnings are shown, each as one JSON record.
         warnings.showwarning = lambda message, category, *_: sys.stderr.write(
             _json_line({"warning": category.__name__, "message": str(message)}))
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except DataError as exc:
             sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc), **exc.details}))

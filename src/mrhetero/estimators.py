@@ -81,16 +81,10 @@ def _ratio_guard(numerator: float, denominator: float, a: TripleArrays, what: st
     return numerator / denominator
 
 
-def _held_max(counts: np.ndarray, values: np.ndarray, descending: np.ndarray) -> np.ndarray:
-    """Per row of ``counts``, the max of ``values`` over the SNPs the resample holds.
-
-    ``descending`` orders ``values`` from the largest, and only the first 64
-    are read. A resample of p draws misses all of them with probability
-    below e^-64; such a row gets NaN, which leaves its ratio to the point
-    estimator.
-    """
-    held = np.take(counts, descending[:64], axis=1) > 0.0
-    return np.where(held.any(axis=1), values[descending[held.argmax(axis=1)]], np.nan)
+def _scale_bound(counts: np.ndarray, a: TripleArrays) -> np.ndarray:
+    """At least each resample's ``_ratio_guard`` scale, since its max |gamma_tr| is at least its draws' RMS."""
+    top = np.max(np.abs(a.gamma_tr))  # no scaled square overflows or underflows; an all-zero row gets inf
+    return np.max(np.abs(a.gamma_ou)) / top / np.sqrt(np.dot(counts, (a.gamma_tr / top) ** 2) / len(a))
 
 
 def _outcome_fit(a: TripleArrays) -> WeightedPairs:
@@ -161,12 +155,11 @@ def _counted_evaluator(methods, a: TripleArrays):
     the same guards, and so fails in the same replicates, as the method's
     point estimator on that resample; the values agree with it to rounding.
     The few rows that the count form does not resolve are computed by the
-    point estimator on the resample: a ratio or a design near its guard, a
-    median whose crossing or neighbours fall outside its window, and a
-    ratio whose resample holds none of the 64 largest ``|gamma_ou|`` or
-    ``|gamma_tr|``. Every row the count form resolves lies clear of both
-    guards. On the bench-style 10,000-SNP panel no row goes to the point
-    estimator, and a test pins that.
+    point estimator on the resample: a design near its guard, a median whose
+    crossing or neighbours fall outside its window, and a ratio whose slope
+    is at most 1e-3 times :func:`_scale_bound`. Every row the count form
+    resolves lies clear of both guards. On the bench-style 10,000-SNP panel
+    no row goes to the point estimator, and a test pins that.
 
     Every fit of ``_FITS`` that builds on the panel has its terms in one
     ``p x K`` matrix, in table order, and a chunk takes one product with it;
@@ -194,8 +187,6 @@ def _counted_evaluator(methods, a: TripleArrays):
     ends = np.cumsum([fit.terms.shape[1] for fit in built.values()])
     used = {key for m in methods for key in _FITS[m] if key is not None}
     columns = {key: slice(end - built[key].terms.shape[1], end) for key, end in zip(built, ends) if key in used}
-    abs_gamma_ou, abs_gamma_tr = np.abs(a.gamma_ou), np.abs(a.gamma_tr)
-    ou_descending, tr_descending = np.argsort(-abs_gamma_ou), np.argsort(-abs_gamma_tr)
 
     def evaluate(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,21 +195,18 @@ def _counted_evaluator(methods, a: TripleArrays):
             # releases it, so threaded chunks overlap. The two agree bitwise.
             sums = np.dot(counts, terms)
             fits = {key: built[key].reduce(counts, sums[:, c]) for key, c in columns.items()}
-            scale = None
+            bound = _scale_bound(counts, a)
             rows = []
             for m in methods:
                 num, den = _FITS[m]
                 beta, passed, resolved = fits[num]
                 if den is not None:
-                    if scale is None:
-                        scale = (_held_max(counts, abs_gamma_ou, ou_descending)
-                                 / _held_max(counts, abs_gamma_tr, tr_descending))
                     slope, den_passed, den_resolved = fits[den]
                     beta = beta / slope
                     passed = passed & den_passed
                     # Within a factor 1e9 of the guard the ratio amplifies the rounding of
                     # its denominator past 1e-13 of the value; _ratio_guard decides there.
-                    resolved = resolved & den_resolved & (abs(slope) > 1e-3 * scale)
+                    resolved = resolved & den_resolved & (abs(slope) > 1e-3 * bound)
                 rows.append((beta, passed, resolved))
             values, ok, resolved = (np.array(x) for x in zip(*rows))
         for k, r in zip(*np.nonzero(~resolved)):

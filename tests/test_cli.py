@@ -313,10 +313,9 @@ class TestHetTest:
         argv = ["het-test", "--treatment", tr, "--outcome", ouy]
         if with_outcome_exposure:
             argv += ["--outcome-exposure", oug]
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        message = (f"unrecognized arguments: --outcome {ouy}" if with_outcome_exposure
+                   else "the following arguments are required: --outcome-exposure")
+        assert _record(capsys, *argv) == {"error": "DataError", "message": message}
 
     def test_tsv_form(self, tmp_path, capsys):
         tr, _, _ = write_inputs(tmp_path)
@@ -773,6 +772,9 @@ class TestUsageChecks:
     @pytest.mark.parametrize("flags,record", [
         (["--methods", " , "], {"message": "at least one method must be selected"}),
         (["--columns", "snp=rsid,beta"], {"message": "column override 'beta' is not of the form field=header"}),
+        (["--boot", "x"], {"message": "argument --boot: invalid int value: 'x'"}),
+        (["--ci-kind", "wide"],
+         {"message": "argument --ci-kind: invalid choice: 'wide' (choose from 'normal', 'percentile')"}),
     ])
     def test_analyze_flags(self, tmp_path, capsys, flags, record):
         tr, oug, ouy = write_inputs(tmp_path)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrhetero import (
     BootstrapConfig,
@@ -22,7 +24,8 @@ from mrhetero import (
     weighted_median_ratio,
 )
 from mrhetero import estimators
-from mrhetero.estimators import _held_max, point_estimator
+from mrhetero.bootstrap import resample_counts
+from mrhetero.estimators import _scale_bound, point_estimator
 from mrhetero.kernels import l1_origin, WeightedPairs
 from mrhetero.summary_data import TripleArrays
 
@@ -243,24 +246,26 @@ class TestEstimateMany:
         assert len(methods) == 6 and all(isinstance(e, MrEstimate) for e in out)
         assert len(calls) == 50
 
-    def test_held_max_reads_past_the_largest_64(self, monkeypatch):
-        # A row holding none of the 64 largest values gets NaN, and the
-        # evaluator computes its MrWald ratio with the point estimator.
-        values = np.arange(100.0)
-        counts = np.ones((2, 100))
-        counts[1, 36:] = 0.0  # holds none of the 64 largest values
-        held = _held_max(counts, values, np.argsort(-values))
-        assert held[0] == 99.0 and np.isnan(held[1])
+    def test_ratio_rows_past_the_scale_bound_go_to_the_point_estimator(self, monkeypatch):
+        # The outlying gamma_ou of SNP 50 makes the bound large, so a resample
+        # without it goes to the point estimator; one that holds only zero
+        # gamma_tr gets an infinite bound and fails there as the copy does.
         x = np.arange(1.0, 101.0)
-        small = TripleArrays.checked([f"rs{j}" for j in range(100)], x, 0.01 * x, np.sqrt(x), 0.02 * x,
+        gamma_tr, gamma_ou = x.copy(), np.sqrt(x)
+        gamma_tr[:2], gamma_ou[50] = 0.0, 1e6
+        panel = TripleArrays.checked([f"rs{j}" for j in range(100)], gamma_tr, 0.01 * x, gamma_ou, 0.02 * x,
                                      np.cos(x), 0.03 * x)
-        resamples = [np.arange(36), np.repeat(np.arange(12), 3)]
+        resamples = [np.arange(100), np.where(np.arange(100) == 50, 49, np.arange(100)), np.arange(100) % 2]
         calls = []
         monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
-        out, ok = estimators._counted_evaluator([Method.MR_WALD], small)(resamples)
+        out, ok = estimators._counted_evaluator([Method.MR_WALD], panel)(resamples)
         assert calls == [Method.MR_WALD] * 2
-        assert ok.all()
-        assert list(out[0]) == [point_estimator(Method.MR_WALD)(small.take(r)) for r in resamples]
+        assert list(ok[0]) == [True, True, False]
+        assert out[0, 1] == point_estimator(Method.MR_WALD)(panel.take(resamples[1]))
+        with np.errstate(divide="ignore"):
+            assert _scale_bound(resample_counts(resamples, 100), panel)[2] == np.inf
+        with pytest.raises(DegenerateDesign):
+            point_estimator(Method.MR_WALD)(panel.take(resamples[2]))
 
     def test_errors_returned_in_method_order(self, rng):
         boot = BootstrapConfig(n_boot=30, seed=1)
@@ -318,6 +323,31 @@ class TestEstimateMany:
     def test_without_bootstrap_gives_points(self, rng):
         t, _, _ = random_triples(rng, 10, noise=0.02)
         assert estimate_many(list(Method), t) == [estimate(m, t) for m in Method]
+
+
+# Mixed-sign panels with zeros. Both columns are scaled by about 2**e, so
+# that squares of the raw values overflow or underflow at the ends of the
+# range while the guard's scale stays finite and nonzero.
+_signed = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(snps=st.lists(st.tuples(_signed, _signed), min_size=1, max_size=30),
+       rows=st.lists(st.lists(st.integers(0, 29), min_size=30, max_size=30), min_size=1, max_size=4),
+       e=st.integers(-1000, 1000), d=st.integers(-20, 20))
+@example(snps=[(1.0, 1.0), (0.5, -0.5)], rows=[[0] * 30], e=600, d=0)
+def test_scale_bound_is_at_least_the_guard_scale(snps, rows, e, d):
+    p = len(snps)
+    gamma_tr, gamma_ou = (np.ldexp(np.array(column), k) for column, k in zip(zip(*snps), (e, e + d)))
+    # Each row is p draws, as a resample is.
+    counts = np.array([np.bincount(np.array(r[:p]) % p, minlength=p) for r in rows], float)
+    ones = np.ones(p)
+    panel = TripleArrays.checked([f"rs{j}" for j in range(p)], gamma_tr, ones, gamma_ou, ones, ones, ones)
+    with np.errstate(all="ignore"):
+        bound = _scale_bound(counts, panel)
+        for held, b in zip(counts > 0, bound):
+            if np.any(gamma_tr[held] != 0.0):
+                assert b >= np.max(np.abs(gamma_ou[held])) / np.max(np.abs(gamma_tr[held])) * (1 - 1e-12)
 
 
 class TestMrEstimate:
