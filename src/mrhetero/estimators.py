@@ -151,19 +151,20 @@ def _counted_evaluator(methods, a: TripleArrays):
     """Chunk evaluator of ``methods`` for :func:`~mrhetero.bootstrap.bootstrap_chunks`.
 
     Evaluates every method on a chunk of resamples from their SNP counts,
-    with the per-panel terms of each fit computed once here. Each row passes
-    the same guards, and so fails in the same replicates, as the method's
-    point estimator on that resample; the values agree with it to rounding.
-    The few rows that the count form does not resolve are computed by the
-    point estimator on the resample: a design near its guard, a median whose
-    crossing or neighbours fall outside its window, and a ratio whose slope
-    is at most 1e-3 times :func:`_scale_bound`. Every row the count form
-    resolves lies clear of both guards. On the bench-style 10,000-SNP panel
+    with the per-panel terms of each fit computed once here. The count forms
+    decide no guard: every row they resolve lies clear of every guard, and
+    its value agrees with the method's point estimator on that resample to
+    rounding. Every other row is computed by the point estimator on the
+    resample, which decides its guards, so the failures are those of the
+    point estimator in the same replicates. Such rows are a design at or
+    near its guard, a median holding no weight or whose crossing or
+    neighbours fall outside its window, and a ratio whose slope is at most
+    1e-3 times :func:`_scale_bound`. On the bench-style 10,000-SNP panel
     no row goes to the point estimator, and a test pins that.
 
     Every fit of ``_FITS`` that builds on the panel has its terms in one
     ``p x K`` matrix, in table order, and a chunk takes one product with it;
-    only the fits ``methods`` use are reduced. K is 25 when all seven fits
+    only the fits ``methods`` use are reduced. K is 22 when all seven fits
     build. A fit that does not build, such as the inverse-variance outcome
     fit when every ``se_capgamma_ou**-2`` underflows to 0, is left out: a
     method using it has already failed its point estimate, and the others
@@ -199,17 +200,16 @@ def _counted_evaluator(methods, a: TripleArrays):
             rows = []
             for m in methods:
                 num, den = _FITS[m]
-                beta, passed, resolved = fits[num]
+                beta, resolved = fits[num]
                 if den is not None:
-                    slope, den_passed, den_resolved = fits[den]
+                    slope, den_resolved = fits[den]
                     beta = beta / slope
-                    passed = passed & den_passed
                     # Within a factor 1e9 of the guard the ratio amplifies the rounding of
                     # its denominator past 1e-13 of the value; _ratio_guard decides there.
                     resolved = resolved & den_resolved & (abs(slope) > 1e-3 * bound)
-                rows.append((beta, passed, resolved))
-            values, ok, resolved = (np.array(x) for x in zip(*rows))
-        for k, r in zip(*np.nonzero(~resolved)):
+                rows.append((beta, resolved))
+            values, ok = (np.array(x) for x in zip(*rows))
+        for k, r in zip(*np.nonzero(~ok)):
             values[k, r], ok[k, r] = _evaluate_copy(point_estimator(methods[k]), a.take(indices[r]))
         return values, ok
 

@@ -11,13 +11,14 @@ per-SNP terms: the least-squares fits read count-weighted sums (for a
 chunk of resamples, columns of one matrix product shared by every fit), and
 the medians take cumulative sums over ratios sorted once per panel, with the
 counts as multiplicities, within a window around the panel's half-mass point.
-Each guard is the same predicate in both forms and is applied per resample.
-A count form decides only the guards it decides exactly, the origin fit's
-all-zero regressor and the medians' resample holding no weight. It leaves
-to the point estimator a row near the ratio or constant-design guard and a
-median row whose crossing or neighbours fall outside the window. The
-estimators' one product per chunk, and which rows go to the point
-estimator, are described at ``estimators._counted_evaluator``.
+A count form decides no guard: it resolves only a row that lies clear of
+every guard, and leaves every other row to the point estimator on the
+resample, which decides the guards there. Such rows are those at or near
+the ratio, all-zero-regressor or constant-design guard, a median row
+holding no weight, and a median row whose crossing or neighbours fall
+outside the window. The estimators' one product per chunk, and which rows
+go to the point estimator, are described at
+``estimators._counted_evaluator``.
 """
 
 from __future__ import annotations
@@ -79,14 +80,9 @@ def wls_origin(d: WeightedPairs) -> float:
     ``sum(w x y) / sum(w x^2)``.
     """
     sxx = float(np.dot(d.w * d.x, d.x))
-    if _all_regressors_zero(sxx):
+    if sxx <= 0.0:
         raise DegenerateDesign("all regressors are zero; origin slope is not identified")
     return float(np.dot(d.w * d.x, d.y)) / sxx
-
-
-def _all_regressors_zero(sxx):
-    """The origin fit's guard on its weighted sum of squares ``sum(w x^2)``."""
-    return sxx <= 0.0
 
 
 def wls_intercept(d: WeightedPairs) -> tuple[float, float]:
@@ -161,10 +157,10 @@ def weighted_median_ratio(triples) -> float:
     a = as_triple_arrays(triples)
     used, ratios, w = _median_terms(a)
     n_dropped = int((a.gamma_tr == 0.0).sum())
-    if n_dropped:
-        warnings.warn(f"dropped {n_dropped} SNPs with zero exposure association", stacklevel=2)
     if n_dropped == len(a):
         raise DegenerateDesign("no SNP with a nonzero exposure association")
+    if n_dropped:
+        warnings.warn(f"dropped {n_dropped} SNPs with zero exposure association", stacklevel=2)
     if not np.any(used):
         raise DegenerateDesign("the usable SNPs' inverse variances sum to zero")
     order = np.argsort(ratios)
@@ -193,12 +189,12 @@ class CountedFit(NamedTuple):
     ``terms`` are the per-SNP terms (``p x k``) whose count-weighted sums the
     kernel reads. ``reduce`` takes a chunk's ``rows x p`` counts (as floats)
     and the ``rows x k`` product of the counts with ``terms``, and returns
-    three per-row arrays: the kernel's value, whether the row passes the
-    kernel's guards, and whether the count form resolves the row to
-    rounding; only a resolved row's guards are read. The caller evaluates
-    any other row, such as a median row that its window does not resolve,
-    on the resample itself. It takes the product, for the estimators one
-    per chunk over the terms of every fit side by side.
+    two per-row arrays: the kernel's value and whether the count form
+    resolves the row to rounding. A resolved row lies clear of every guard
+    of the kernel; only a resolved row's value is read. The caller
+    evaluates any other row on the resample itself, where the point kernel
+    decides the guards. It takes the product, for the estimators one per
+    chunk over the terms of every fit side by side.
     """
 
     terms: np.ndarray
@@ -206,12 +202,12 @@ class CountedFit(NamedTuple):
 
 
 def counted_wls_origin(d: WeightedPairs) -> CountedFit:
-    """:func:`wls_origin` as a :class:`CountedFit`."""
+    """:func:`wls_origin` as a :class:`CountedFit`; a row with ``sum(w x^2) = 0`` is unresolved."""
     wx = d.w * d.x
 
     def reduce(counts, sums):
         sxy, sxx = sums.T
-        return sxy / sxx, ~_all_regressors_zero(sxx), np.ones(len(sums), dtype=bool)
+        return sxy / sxx, sxx > 0.0
 
     return CountedFit(np.column_stack((wx * d.y, wx * d.x)), reduce)
 
@@ -235,7 +231,7 @@ def counted_wls_intercept(d: WeightedPairs) -> CountedFit:
         sw, sx, sy, sxx, sxy, raw = sums.T
         centred = sxx - sx * sx / sw
         slope = (sxy - sx * sy / sw) / centred
-        return slope, np.ones(len(sums), dtype=bool), (centred > 1e-2 * sxx) & (centred > 1e-16 * raw)
+        return slope, (centred > 1e-2 * sxx) & (centred > 1e-16 * raw)
 
     return CountedFit(np.column_stack((d.w, wxs, d.w * ys, wxs * xs, wxs * ys, d.w * d.x * d.x)), reduce)
 
@@ -249,9 +245,10 @@ def counted_weighted_median_ratio(triples) -> CountedFit:
     """:func:`weighted_median_ratio` as a :class:`CountedFit`, without the warning.
 
     So the estimators warn about zero-``gamma_tr`` SNPs once, for the full
-    sample. A row this fit leaves unresolved goes to the point estimator,
-    which warns again if the resample holds such a SNP; no test, benchmark
-    or measured panel has produced one.
+    sample. A row this fit leaves unresolved goes to the point estimator. A
+    resample holding only zero-``gamma_tr`` SNPs fails there before the
+    warning; one outside the window that holds such a SNP among others
+    warns again, and no test, benchmark or measured panel has produced one.
     """
     return _counted_median(*_median_terms(as_triple_arrays(triples)), _interpolated_medians)
 
@@ -264,8 +261,9 @@ def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, me
     :func:`_half_mass_window`); two product columns give its mass before
     and after the window. ``medians`` finds the crossings and neighbours
     of the whole chunk at once. A row whose crossing or neighbours fall
-    outside the window is left unresolved, for the point estimator. A
-    resample holding no used SNP fails.
+    outside the window is left unresolved, for the point estimator, and so
+    is a resample holding no weight: its total is 0, so ``medians`` puts
+    its crossing at 0, before the window.
     """
     order = np.argsort(values, kind="stable")
     snps = np.flatnonzero(used)[order]
@@ -279,15 +277,13 @@ def _counted_median(used: np.ndarray, values: np.ndarray, masses: np.ndarray, me
     outside[snps[hi:], 1] = m[hi + 1:]
 
     def reduce(counts, sums):
-        ok = sums[:, 0] > 0.0
         cum = np.empty((len(counts), hi - lo + 1))
-        cum[:, 0] = sums[:, 1]
+        cum[:, 0] = sums[:, 0]
         np.multiply(np.take(counts, snps[lo:hi], axis=1), m[lo + 1:hi + 1], out=cum[:, 1:])
         np.cumsum(cum, axis=1, out=cum)
-        beta, resolved = medians(v[lo:hi + 1], m[lo:hi + 1], cum, cum[:, -1] + sums[:, 2])
-        return np.where(ok, beta, 0.0), ok, resolved | ~ok
+        return medians(v[lo:hi + 1], m[lo:hi + 1], cum, cum[:, -1] + sums[:, 1])
 
-    return CountedFit(np.column_stack((used.astype(float), outside)), reduce)
+    return CountedFit(outside, reduce)
 
 
 def _half_mass_window(m: np.ndarray) -> tuple[int, int]:
@@ -348,7 +344,7 @@ def _interpolated_medians(v: np.ndarray, w: np.ndarray, cum: np.ndarray, total: 
     resolved = (j >= 1) & (j <= last)
     j = np.clip(j, 1, last)
     at, before = cum[rows, j], cum[rows, j - 1]
-    # Rows holding no used SNP have a zero total; the caller discards them.
+    # A row holding no weight divides by its zero total here; it is already unresolved.
     with np.errstate(divide="ignore", invalid="ignore"):
         first = (before + 0.5 * w[j]) / total
         end = (at - 0.5 * w[j]) / total

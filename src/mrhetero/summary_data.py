@@ -253,12 +253,16 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     ------
     MissingColumn, MalformedRow, DuplicateSnpId
     DataError
-        The header, or in strict mode a row, is not UTF-8 text; the
-        message names the line.
+        Two fields map to one header name; or the header, or in strict
+        mode a row, is not UTF-8 text, and the message names the line.
 
     In strict mode the first problem in file order decides the error.
     """
     colmap = {**DEFAULT_COLUMNS, **(columns or {})}
+    fields = {}
+    for field, name in colmap.items():
+        if fields.setdefault(name, field) != field:
+            raise DataError(f"column {name!r} is mapped to both {fields[name]!r} and {field!r}", column=name)
     # ``utf-8-sig`` drops a byte-order mark that would otherwise prefix the
     # first header name. Bytes that are not UTF-8 decode to lone surrogates,
     # so that the row holding them, not the whole file, is rejected.

@@ -775,6 +775,7 @@ class TestUsageChecks:
         (["--boot", "x"], {"message": "argument --boot: invalid int value: 'x'"}),
         (["--ci-kind", "wide"],
          {"message": "argument --ci-kind: invalid choice: 'wide' (choose from 'normal', 'percentile')"}),
+        (["--columns", "beta=se"], {"message": "column 'se' is mapped to both 'beta' and 'se'", "column": "se"}),
     ])
     def test_analyze_flags(self, tmp_path, capsys, flags, record):
         tr, oug, ouy = write_inputs(tmp_path)

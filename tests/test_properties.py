@@ -322,17 +322,22 @@ def test_counted_bootstrap_keeps_the_flat_l1_midpoint():
     assert midpoints > 0
 
 
-def test_counted_bootstrap_fails_weighted_median_resamples_of_zero_weight():
+def test_counted_bootstrap_fails_weighted_median_resamples_of_zero_weight(monkeypatch):
     # Every SNP but two has an overflowing variance, so zero weight: about
     # 0.9^20 of the resamples hold no weight and must fail as their copies
-    # do. Only WeightedMedian: the inverse-variance fits do not build here.
+    # do, each through the point estimator. Only WeightedMedian: the
+    # inverse-variance fits do not build here.
     _, a = draw_panel(12, 20)
     a.se_capgamma_ou[2:] = 1e170
+    calls = []
+    monkeypatch.setattr(estimators, "point_estimator", lambda m: calls.append(m) or point_estimator(m))
     for ci_kind in CiKind:
         boot = BootstrapConfig(n_boot=200, seed=6, ci_kind=ci_kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            calls.clear()
             (e,) = estimate_many([Method.WEIGHTED_MEDIAN], a, boot)
+            assert len(calls) == e.auxiliary["bootstrap_failed"]
             assert estimate_many([Method.WEIGHTED_MEDIAN], a, boot, workers=3) == [e]
             ref = bootstrap(point_estimator(Method.WEIGHTED_MEDIAN), a, boot, e.beta)
         assert 0 < ref.n_failed < 100
@@ -352,3 +357,22 @@ def test_counted_bootstrap_with_a_zero_exposure_association():
         warnings.simplefilter("always")
         estimate_many([Method.WEIGHTED_MEDIAN, Method.MR_WALD], a, BootstrapConfig(n_boot=100, seed=8))
     assert [str(w.message) for w in caught] == ["dropped 1 SNPs with zero exposure association"]
+
+
+def test_resamples_of_zero_exposure_association_only_fail_without_a_warning():
+    # Two of three SNPs have gamma_tr = 0, so about (2/3)^3 of the resamples
+    # hold only those. The point estimator fails each such resample before
+    # it would warn, so the full sample's warning is the one written.
+    _, a = draw_panel(8, 3)
+    a.gamma_tr[:2] = 0.0
+    boot = BootstrapConfig(n_boot=100, seed=8)
+    methods = [Method.WEIGHTED_MEDIAN, Method.MR_WALD]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = estimate_many(methods, a, boot)
+    assert [str(w.message) for w in caught] == ["dropped 2 SNPs with zero exposure association"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        refs = [bootstrap(point_estimator(m), a, boot, e.beta) for m, e in zip(methods, out)]
+    assert [e.auxiliary["bootstrap_failed"] for e in out] == [ref.n_failed for ref in refs]
+    assert all(ref.n_failed > 0 for ref in refs)

@@ -88,6 +88,17 @@ class TestParse:
         assert rec.n is None
         assert rec.effect_allele == "T"  # normalized to upper case
 
+    @pytest.mark.parametrize("columns, message", [
+        ({"beta": "se"}, "column 'se' is mapped to both 'beta' and 'se'"),
+        ({"n": "b", "beta": "b"}, "column 'b' is mapped to both 'beta' and 'n'"),
+    ], ids=["beta-and-se", "beta-and-n"])
+    def test_two_fields_of_one_header_rejected(self, tmp_path, columns, message):
+        # Checked before the file is opened: this one does not exist.
+        with pytest.raises(DataError) as exc:
+            parse_summary_file(tmp_path / "absent.tsv", columns=columns)
+        assert type(exc.value) is DataError
+        assert (str(exc.value), exc.value.details) == (message, {"column": columns["beta"]})
+
     def test_identical_alleles_rejected(self):
         with pytest.raises(ValueError):
             SnpRecord("rs1", "A", "A", 0.1, 0.1)
