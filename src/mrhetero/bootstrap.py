@@ -243,8 +243,7 @@ def _summarise(
         return TooManyFailures(n_failed, cfg.n_boot)
     se = float(kept.std(ddof=1))
     if cfg.ci_kind is CiKind.NORMAL_APPROX:
-        z = z_quantile(cfg.level)
-        lo, hi = point - z * se, point + z * se
+        lo, hi = normal_ci(point, se, cfg.level)
     else:
         tail = 0.5 * (1.0 - cfg.level)
         lo, hi = (float(q) for q in np.quantile(kept, [tail, 1.0 - tail]))
@@ -260,6 +259,4 @@ def z_quantile(level: float) -> float:
 
 def normal_ci(point: float, se: float, level: float) -> tuple[float, float]:
     z = z_quantile(level)
-    if not math.isfinite(se):
-        raise ValueError("standard error must be finite")
     return point - z * se, point + z * se

@@ -22,7 +22,7 @@ from .errors import DataError
 from .estimators import Method, estimate_many
 from .heterogeneity import het_test
 from .simulation import GFunction, ScenarioConfig, run_scenario, thread_count
-from .summary_data import DEFAULT_COLUMNS, harmonize, parse_summary_file
+from .summary_data import harmonize, parse_summary_file
 
 # Not called here: the benchmark's traced run (bench/spans.py) wraps this
 # name on this module by attribute.
@@ -71,11 +71,8 @@ def _parse_columns(raw: str | None) -> dict | None:
         if "=" not in part:
             raise DataError(f"column override {part!r} is not of the form field=header")
         field, header = (token.strip() for token in part.split("=", 1))
-        if field not in DEFAULT_COLUMNS:
-            raise DataError(
-                f"unknown column field {field!r}; expected one of {', '.join(DEFAULT_COLUMNS)}",
-                field=field,
-            )
+        if field in out:
+            raise DataError(f"column field {field!r} is given twice", field=field)
         out[field] = header
     return out
 

@@ -393,8 +393,11 @@ def divw_variance(triples, beta: float | None = None) -> float:
         beta = divw(triples)
     strength = (a.gamma_tr**2 - a.se_gamma_tr**2) / a.se_capgamma_ou**2
     noise = a.se_gamma_tr**2 / a.se_capgamma_ou**2
-    num = float(np.sum(strength + noise + beta**2 * noise * (strength + 2.0 * noise)))
-    den = float(np.sum(strength)) ** 2
+    # A square beyond the float range is infinite, where Python's float
+    # ``**`` would raise OverflowError; numpy's rounds as Python's does.
+    with np.errstate(over="ignore"):
+        num = float(np.sum(strength + noise + np.float64(beta) ** 2 * noise * (strength + 2.0 * noise)))
+        den = float(np.sum(strength) ** 2)
     if den == 0.0:
         raise VanishingDenominator("debiased instrument strength is zero", value=0.0)
     return num / den

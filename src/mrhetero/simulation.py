@@ -427,10 +427,11 @@ def run_scenario(
 ) -> ScenarioSummary:
     """Run all replicates of a scenario and aggregate per-method performance.
 
-    All four reported metrics are relative to the true effect and expressed
-    in percent: mean error, root-mean-square error, mean CI length, and the
-    share of replicates whose CI covers the truth. Replicates where a method
-    fails are excluded for that method and counted.
+    All four reported metrics are in percent: mean error relative to the
+    true effect ``beta0`` (negative means toward zero, for either sign),
+    root-mean-square error and mean CI length relative to ``|beta0|``, and
+    the share of replicates whose CI covers the truth. Replicates where a
+    method fails are excluded for that method and counted.
 
     Methods are evaluated in the order given (duplicates removed); the
     result is bit-identical for a fixed ``(cfg, boot)`` regardless of thread
@@ -462,8 +463,8 @@ def run_scenario(
         with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN at beta0 = 0
             summaries[m.value] = MethodPerformance(
                 bias_pct=float(err.mean() / cfg.beta0 * 100.0),
-                rmse_pct=float(np.sqrt((err**2).mean()) / cfg.beta0 * 100.0),
-                ci_length_pct=float((arr[:, 2] - arr[:, 1]).mean() / cfg.beta0 * 100.0),
+                rmse_pct=float(np.sqrt((err**2).mean()) / abs(cfg.beta0) * 100.0),
+                ci_length_pct=float((arr[:, 2] - arr[:, 1]).mean() / abs(cfg.beta0) * 100.0),
                 coverage_pct=float(covered.mean() * 100.0),
                 n_replicates_used=len(rows),
                 n_failed=n_failed,

@@ -240,10 +240,10 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
         as the csv module reads it, but its quotes must close on the same
         line; blank lines are skipped.
     columns : dict, optional
-        Overrides for :data:`DEFAULT_COLUMNS` (logical name -> header name).
-        The ``n`` column is optional; all others are required. An ``n``
-        cell that is empty, ``NA``, ``NaN`` or ``.`` (in any case) is a
-        missing sample size.
+        Overrides for :data:`DEFAULT_COLUMNS` (logical name -> header name),
+        keyed by its six fields. The ``n`` column is optional; all others
+        are required. An ``n`` cell that is empty, ``NA``, ``NaN`` or ``.``
+        (in any case) is a missing sample size.
     lenient : bool
         When true, rows with unparseable fields, unclosed quotes or bytes
         that are not UTF-8 are counted and dropped (a warning reports the
@@ -253,11 +253,19 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     ------
     MissingColumn, MalformedRow, DuplicateSnpId
     DataError
-        Two fields map to one header name; or the header, or in strict
-        mode a row, is not UTF-8 text, and the message names the line.
+        A ``columns`` key is not a field of :data:`DEFAULT_COLUMNS`, or two
+        fields map to one header name, both checked before the file is
+        opened; or the header, or in strict mode a row, is not UTF-8 text,
+        and the message names the line.
 
     In strict mode the first problem in file order decides the error.
     """
+    for field in columns or ():
+        if field not in DEFAULT_COLUMNS:
+            raise DataError(
+                f"unknown column field {field!r}; expected one of {', '.join(DEFAULT_COLUMNS)}",
+                field=field,
+            )
     colmap = {**DEFAULT_COLUMNS, **(columns or {})}
     fields = {}
     for field, name in colmap.items():
@@ -292,13 +300,16 @@ def parse_summary_file(path, columns: dict | None = None, lenient: bool = False)
     body, width = lines[1:], len(header)
     if '"' not in text and {line.count("\t") for line in body} == {width - 1}:
         # A regular file: every line holds the header's cell count, so one
-        # split holds the cells row by row and column k is every width-th.
-        # It gives the same rows, errors and drop counts as the line reader.
+        # split holds the cells row by row. It gives the same rows, errors
+        # and drop counts as the line reader.
         flat = "\t".join(body).split("\t")
-        cols, bad = [flat[k::width] for k in range(width)], np.zeros(len(body), dtype=bool)
     else:
-        cols, bad = _transpose(list(map(_cells, body)), positions, n_pos)
-    table = _columns(cols, bad, positions, n_pos)
+        # Each line read on its own, padded with empty cells or cut to the
+        # header's width; an unclosed quote (None) reads as empty cells. An
+        # empty required cell breaks a rule, so its row is rejected below.
+        flat = [cell for row in map(_cells, body) for cell in ((row or []) + [""] * width)[:width]]
+    # Column k is every width-th cell.
+    table, bad = _columns([flat[k::width] for k in range(width)], positions, n_pos)
     if not _is_utf8(text):
         bad |= [not _is_utf8(line) for line in body]
     # Only the rejected rows are read again, cell by cell.
@@ -339,33 +350,16 @@ def _cells(line: str) -> list[str] | None:
     return records[0] if len(records) == 2 else None
 
 
-def _transpose(rows, positions, n_pos) -> tuple[list, np.ndarray]:
-    """The cells of ``rows`` by column, at least up to the last column read,
-    and the mask of rows that hold an unclosed quote (``None``) or miss a
-    required cell."""
-    bad = np.array([row is None for row in rows], dtype=bool)
-    if bad.any():
-        rows = [[] if row is None else row for row in rows]
-    width = max([*positions.values(), -1 if n_pos is None else n_pos]) + 1
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    bad |= lengths <= max(positions.values())
-    if not (lengths >= width).all():
-        # Missing cells read as empty: a missing sample size, or a row
-        # already marked short.
-        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
-    return list(zip(*rows)) or [()] * width, bad
-
-
-def _columns(cols, bad, positions, n_pos) -> SnpArrays:
-    """The cells ``cols`` (by column) as a :class:`SnpArrays`; the rows that
-    break a :class:`SnpRecord` rule are added to the mask ``bad``, and the
-    masked rows' values are placeholders."""
+def _columns(cols, positions, n_pos) -> tuple[SnpArrays, np.ndarray]:
+    """The cells ``cols`` (by column) as a :class:`SnpArrays`, and the mask of
+    the rows that break a :class:`SnpRecord` rule, whose values are placeholders."""
     ids = np.array(list(map(str.strip, cols[positions["snp"]])), dtype=object)
+    bad = np.zeros(len(ids), dtype=bool)
     effect, other = (np.array(list(map(str.upper, map(str.strip, cols[positions[f]]))), dtype=object)
                      for f in ("effect_allele", "other_allele"))
     beta = _floats(cols[positions["beta"]])
     se = _floats(cols[positions["se"]])
-    n = np.full(len(bad), math.nan)
+    n = np.full(len(ids), math.nan)
     if n_pos is not None:
         n = _floats(cols[n_pos])
         # A count must survive ``int(float(cell))``, which fails on
@@ -378,7 +372,7 @@ def _columns(cols, bad, positions, n_pos) -> SnpArrays:
         n = np.trunc(n)
     for holds, _ in _snp_rules(ids, effect, other, beta, se, n):
         bad |= ~holds
-    return SnpArrays(ids, effect, other, beta, se, n)
+    return SnpArrays(ids, effect, other, beta, se, n), bad
 
 
 def _floats(cells) -> np.ndarray:

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from mrhetero import (HarmonizedTriple, Method, SnpRecord, VanishingDenominator, cli, divw, harmonize,
-                      parse_summary_file, simulation)
+from mrhetero import (BootstrapConfig, HarmonizedTriple, Method, SnpRecord, VanishingDenominator, cli, divw,
+                      harmonize, parse_summary_file, simulation)
 from mrhetero.cli import _parse_methods, _scenario_config, build_parser, main
 
 BETA0 = -0.3
@@ -254,6 +254,55 @@ class TestAnalyze:
         method = {"DegenerateInput": "MrWald", "DegenerateDesign": "Egger"}[error]
         assert _strict_json(err) == {"error": error, "message": message, "method": method}
         assert out == ""
+
+
+def _write_divw_panel(tmp_path, seed: int, outcome) -> list[str]:
+    """30 SNPs sharing the exposure betas U(0.05, 0.1) at se 0.01, with
+    ``outcome(rng, beta)`` as the outcome file's betas and ses."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.05, 0.1, 30)
+    header = "snp\teffect_allele\tother_allele\tbeta\tse\n"
+    paths = []
+    for name, (betas, ses) in (("tr", (beta, [0.01] * 30)), ("oug", (beta, [0.01] * 30)),
+                               ("ouy", outcome(rng, beta))):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(header + "".join(f"rs{i}\tA\tG\t{float(b)!r}\t{float(s)!r}\n"
+                                         for i, (b, s) in enumerate(zip(betas, ses))))
+        paths.append(str(path))
+    return paths
+
+
+def _beyond_float_beta(rng, beta):
+    out = beta * 1e155 * rng.uniform(0.9, 1.1, beta.size)
+    return out, out / 50
+
+
+def _beyond_float_strength(rng, beta):
+    return 0.5 * beta * rng.uniform(0.9, 1.1, beta.size), [1e-80] * beta.size
+
+
+class TestDivwBeyondTheFloatRange:
+    """A square in Divw's analytic variance past the float range is infinite, not a traceback."""
+
+    def test_squared_beta(self, tmp_path, capsys):
+        # beta**2 overflows; the debiased strength's square then underflows to zero.
+        tr, oug, ouy = _write_divw_panel(tmp_path, 1, _beyond_float_beta)
+        argv = ["analyze", "--treatment", tr, "--outcome-exposure", oug, "--outcome", ouy, "--boot", "100"]
+        assert _record(capsys, *argv, "--methods", "Divw") == {
+            "error": "VanishingDenominator", "message": "debiased instrument strength is zero",
+            "value": 0.0, "method": "Divw"}
+        assert run_cli(capsys, *argv, "--methods", "MrWald,Ivw")[0] == 0
+
+    def test_squared_strength(self, tmp_path, capsys):
+        # Both the variance's numerator and its denominator's square are
+        # infinite: the variance, SE and interval print as null.
+        tr, oug, ouy = _write_divw_panel(tmp_path, 2, _beyond_float_strength)
+        code, out, err = run_cli(capsys, "analyze", "--treatment", tr, "--outcome-exposure", oug,
+                                 "--outcome", ouy, "--methods", "Divw", "--boot", "100")
+        assert (code, err) == (0, "")
+        (est,) = _strict_json(out)["estimates"]
+        assert est["beta"] == 0.518452
+        assert (est["se"], est["ci"], est["auxiliary"]) == (None, [None, None], {"analytic_variance": None})
 
 
 class TestHetTest:
@@ -613,6 +662,25 @@ class TestSimulate:
         assert err == ""
         assert _strict_json(out)["summary"]["methods"]["MrWald"]["bias_pct"] is None
 
+    def test_negative_beta0_gives_nonnegative_rmse_and_ci_length(self, capsys, monkeypatch):
+        # RMSE and CI length are relative to |beta0|; the bias keeps beta0's sign.
+        monkeypatch.setenv("MR_HETERO_THREADS", "1")
+        argv = ["simulate", "--p", "20", "--n", "2000", "--replicates", "4", "--boot", "20",
+                "--beta0", "-0.5", "--methods", "MrWald"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        perf = _strict_json(out)["summary"]["methods"]["MrWald"]
+        cfg = _scenario_config(build_parser().parse_args(argv))
+        boot = BootstrapConfig(n_boot=20, seed=cfg.seed)
+        rows = np.array([simulation._replicate_results(cfg, [Method.MR_WALD], boot, r)[Method.MR_WALD]
+                         for r in range(4)])
+        error = rows[:, 0] + 0.5
+        expected = {"bias_pct": error.mean() / -0.5 * 100.0,
+                    "rmse_pct": np.sqrt((error**2).mean()) / 0.5 * 100.0,
+                    "ci_length_pct": (rows[:, 2] - rows[:, 1]).mean() / 0.5 * 100.0}
+        assert perf["rmse_pct"] >= 0 and perf["ci_length_pct"] >= 0
+        assert {k: perf[k] for k in expected} == {k: float(f"{v:.6g}") for k, v in expected.items()}
+
     @pytest.mark.parametrize("flag,value", [("--boot", "1"), ("--level", "1.5")])
     def test_bad_bootstrap_setting_exit_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "simulate", "--scenario", "i", "--replicates", "1",
@@ -776,6 +844,9 @@ class TestUsageChecks:
         (["--ci-kind", "wide"],
          {"message": "argument --ci-kind: invalid choice: 'wide' (choose from 'normal', 'percentile')"}),
         (["--columns", "beta=se"], {"message": "column 'se' is mapped to both 'beta' and 'se'", "column": "se"}),
+        # The flag's syntax is checked before any field.
+        (["--columns", "bta=b,xyz"], {"message": "column override 'xyz' is not of the form field=header"}),
+        (["--columns", "beta=nope,beta=beta"], {"message": "column field 'beta' is given twice", "field": "beta"}),
     ])
     def test_analyze_flags(self, tmp_path, capsys, flags, record):
         tr, oug, ouy = write_inputs(tmp_path)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrhetero import (
@@ -154,8 +154,20 @@ def summary_files(draw) -> bytes:
     return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text
 
 
+#: A file of each irregular case: a blank line, a long row, a short row
+#: and, last, an unclosed quote, which the row loop reads to the end of the file.
+IRREGULAR = ("snp\teffect_allele\tother_allele\tbeta\tse\tn\n"
+             "rs1\tA\tG\t0.1\t0.01\t1000\n"
+             "\n"
+             "rs2\tC\tT\t-0.2\t0.02\tNA\textra\n"
+             "rs3\tA\tG\t0.1\n"
+             '"rs4\tA\tG\t0.1\t0.01\t1000\n').encode()
+
+
 @settings(max_examples=300, deadline=None)
 @given(content=summary_files(), lenient=st.booleans())
+@example(content=IRREGULAR, lenient=False)
+@example(content=IRREGULAR, lenient=True)
 def test_columnar_parse_matches_the_row_loop(content, lenient):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.tsv"
@@ -188,10 +200,17 @@ def regular_files(draw) -> bytes:
 @given(content=regular_files(), lenient=st.booleans())
 def test_one_split_parse_of_regular_files_matches_the_row_loop(content, lenient):
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(summary_data, "_transpose", side_effect=AssertionError("not one split")):
+            mock.patch.object(summary_data, "_cells", wraps=summary_data._cells) as read_one_by_one:
         path = Path(tmp) / "panel.tsv"
         path.write_bytes(content)
         assert outcome(columnar_parse, path, lenient) == outcome(reference_parse, path, lenient)
+        # Past the header, only the rows the row loop rejects or skips are
+        # read one by one.
+        header, *lines = (call.args[0] for call in read_one_by_one.call_args_list)
+        for line in lines:
+            single = Path(tmp) / "row.tsv"
+            single.write_bytes(f"{header}\n{line}\n".encode("utf-8", "surrogateescape"))
+            assert reference_parse(single, lenient=True)[0] == []
 
 
 def test_empty_file_matches_the_row_loop(tmp_path):

@@ -99,6 +99,19 @@ class TestParse:
         assert type(exc.value) is DataError
         assert (str(exc.value), exc.value.details) == (message, {"column": columns["beta"]})
 
+    @pytest.mark.parametrize("columns", [{"bta": "b"}, {"bta": "beta"}], ids=["unread-header", "default-header"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "absent"])
+    def test_unknown_field_rejected(self, tmp_path, columns, exists):
+        # A misspelt field would otherwise leave the default column read, or
+        # report a clash with it; it is checked before the file is opened.
+        f = write_tsv(tmp_path / "a.tsv", ["rs1\tA\tG\t0.1\t0.01"]) if exists else tmp_path / "absent.tsv"
+        with pytest.raises(DataError) as exc:
+            parse_summary_file(f, columns=columns)
+        assert type(exc.value) is DataError
+        assert (str(exc.value), exc.value.details) == (
+            "unknown column field 'bta'; expected one of snp, effect_allele, other_allele, beta, se, n",
+            {"field": "bta"})
+
     def test_identical_alleles_rejected(self):
         with pytest.raises(ValueError):
             SnpRecord("rs1", "A", "A", 0.1, 0.1)
